@@ -16,7 +16,7 @@ from itertools import combinations
 from .bounds import infinite_certificates
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
 from .graph import all_pairs_distances, k_end_structure
-from .multisets import Variant, violating_pairs
+from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
 
@@ -25,8 +25,6 @@ SOLVER_CAP_DEFAULT = 20
 
 @dataclass(frozen=True)
 class SolverOptions:
-    use_structural_pruning: bool = True
-    use_infinite_shortcuts: bool = True
     parallel_shards: int = 1
     subset_budget: int = None
     cap: int = SOLVER_CAP_DEFAULT
@@ -190,6 +188,10 @@ def _elapsed_ms(t0):
 def dimension(g, variant, opts=None, dm=None):
     """Exact dimension for one variant, per the enumeration contract above."""
     opts = opts or SolverOptions()
+    if opts.parallel_shards < 1:
+        raise GraphValidationError(
+            f"parallel_shards must be at least 1, got {opts.parallel_shards}"
+        )
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
@@ -199,7 +201,7 @@ def dimension(g, variant, opts=None, dm=None):
     edges = g.edges
     n = g.n
 
-    if opts.use_infinite_shortcuts and not variant.always_finite:
+    if not variant.always_finite:
         for cert in infinite_certificates(g, dm, cap=opts.cap):
             if cert.variant is variant:
                 return DimensionResult(
@@ -212,24 +214,13 @@ def dimension(g, variant, opts=None, dm=None):
                 )
 
     constraints = []
-    if opts.use_structural_pruning and variant in (Variant.LMD, Variant.LDIM_MS):
-        for entry in required_vertices(g, variant, cap=opts.cap):
-            if isinstance(entry, Contradiction):
-                if opts.use_infinite_shortcuts:
-                    return DimensionResult(
-                        variant=variant,
-                        value=INFINITE,
-                        witness=None,
-                        subsets_checked=0,
-                        certificate=f"triple_k_end: {entry.reason}",
-                        elapsed_ms=_elapsed_ms(t0),
-                    )
-                # without shortcuts the exhaustive scan settles infiniteness
-            else:
-                constraints.append(entry)
+    if variant in (Variant.LMD, Variant.LDIM_MS):
+        # no Contradiction: for LMD, infinite_certificates has already
+        # returned the triple_k_end certificate of the same K-end structure
+        constraints = required_vertices(g, variant, cap=opts.cap)
 
     kind, scope = variant.kind, variant.scope
-    shards = max(1, opts.parallel_shards)
+    shards = opts.parallel_shards
     if opts.subset_budget is not None:
         shards = 1  # budget accounting follows strict enumeration order
     examined = 0
@@ -281,7 +272,11 @@ def dimension(g, variant, opts=None, dm=None):
             )
         examined += len(combos)
 
-    # Only MD and LMD can reach this point.
+    if variant.always_finite:
+        raise RuntimeError(
+            f"internal error: {variant.name} found no resolving set among all"
+            f" 2^{n} - 1 subsets, but it is always finite"
+        )
     return DimensionResult(
         variant=variant,
         value=INFINITE,
@@ -296,15 +291,15 @@ def naive_all_dimensions(g, dm=None, variants=None):
     """Plain full scan for all requested variants in one subset sweep.
 
     No pruning, no shortcuts, no sharding: this is the oracle the tuned
-    solver is tested against.
+    solver is tested against. It checks each subset with the definitions in
+    `multisets` (vertex_keys and scope_pairs), not with the solver's kernel,
+    and builds the keys once per representation kind per subset.
     """
     t0 = time.perf_counter()
     if dm is None:
         dm = all_pairs_distances(g)
     if variants is None:
         variants = list(Variant)
-    rows = dm.d
-    edges = g.edges
     n = g.n
     pending = set(variants)
     found = {}
@@ -314,8 +309,12 @@ def naive_all_dimensions(g, dm=None, variants=None):
             break
         for W in combinations(range(n), k):
             examined += 1
-            for variant in [v for v in pending]:
-                if _subset_resolves(rows, edges, n, variant.kind, variant.scope, W):
+            keys_by_kind = {}
+            for variant in list(pending):
+                if variant.kind not in keys_by_kind:
+                    keys_by_kind[variant.kind] = vertex_keys(dm, W, variant.kind)
+                keys = keys_by_kind[variant.kind]
+                if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant.scope)):
                     found[variant] = DimensionResult(
                         variant=variant,
                         value=k,

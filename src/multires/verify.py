@@ -9,21 +9,26 @@ NoClosedFormError.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from multiprocessing import Pool
 
 from .bounds import (
-    infinite_certificates,
+    g_bound,
     is_path_graph,
     is_regular,
     lower_bounds,
     same_neighborhood_triples,
 )
-from .errors import NoClosedFormError, NoLeaflessSubgraphError
-from .generators import FamilySpec, gen, gen_clique_gadget, graph_from_mask
-from .graph import all_pairs_distances, bipartition, two_core
-from .multisets import Variant
+from .errors import GraphValidationError, NoClosedFormError, NoLeaflessSubgraphError
+from .generators import (
+    FamilySpec,
+    gen,
+    gen_clique_gadget,
+    graph_from_mask,
+    parse_family_spec,
+)
+from .graph import all_pairs_distances, bipartition, clique_number, two_core
+from .multisets import Variant, is_resolving
 from .solver import INFINITE, certify, dimension, naive_all_dimensions
 
 
@@ -253,10 +258,6 @@ class TheoremCheck:
         }
 
 
-def _solve(g, variant, opts=None):
-    return dimension(g, variant, opts=opts)
-
-
 def wheel_path_structure(n, W, outer):
     """Rim path-structure necessary condition for wheel resolving sets.
 
@@ -295,58 +296,72 @@ def _runs_ok(n, subset):
 
 
 # --- theorem checks ---------------------------------------------------------
+#
+# A check fills the TheoremCheck that run_theorem hands it. Its keyword
+# parameters select the instances, and it ignores the ones it does not take,
+# so run_all can pass one parameter set to every theorem.
 
 
-def check_cycles(n_lo=3, n_hi=12, **_):
-    check = TheoremCheck("cycles")
-    for n in range(n_lo, n_hi + 1):
-        spec = FamilySpec("cycle", (n,))
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
+def closed_forms(specs, variants):
+    """Build a check comparing closed_form with dimension on each spec and variant.
+
+    `specs` is a spec iterator: called with the check's keyword parameters,
+    it yields the FamilySpecs to compare.
+    """
+
+    def check_closed_forms(check, **params):
+        for spec in specs(**params):
+            g = gen(spec)
+            for variant in variants:
+                check.add(
+                    spec,
+                    variant.name.lower(),
+                    closed_form(spec, variant),
+                    dimension(g, variant).value,
+                )
+
+    return check_closed_forms
 
 
-def check_wheels(n_lo=3, n_hi=12, **_):
-    check = TheoremCheck("wheels")
-    for n in range(n_lo, n_hi + 1):
-        spec = FamilySpec("wheel", (n,))
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
+def _sizes(tag, lo, hi):
+    """Spec iterator over tag:n for n_lo <= n <= n_hi (default lo..hi)."""
+
+    def specs(n_lo=lo, n_hi=hi, **_):
+        return (FamilySpec(tag, (n,)) for n in range(n_lo, n_hi + 1))
+
+    return specs
 
 
-def check_wheel_ldim(n_lo=3, n_hi=12, **_):
-    check = TheoremCheck("wheel_ldim")
-    for n in range(n_lo, n_hi + 1):
-        spec = FamilySpec("wheel", (n,))
-        g = gen(spec)
-        check.add(
-            spec,
-            "ldim",
-            closed_form(spec, Variant.LDIM),
-            _solve(g, Variant.LDIM).value,
-        )
-    return check
+def _order_vectors(tag, lo):
+    """Spec iterator over sorted clique-order vectors with entries >= lo."""
+
+    def specs(max_order=4, sizes=(2, 3), **_):
+        for m in sizes:
+            for orders in combinations_with_replacement(range(lo, max_order + 1), m):
+                yield FamilySpec(tag, orders)
+
+    return specs
+
+
+UNICYCLIC_INSTANCES = (
+    (3, (0,)),
+    (3, (0, 1, 3)),
+    (4, (1,)),
+    (4, (0, 2)),
+    (5, (2, 0)),
+    (5, (0, 5, 6)),
+    (6, (1,)),
+    (6, (0, 3, 6)),
+    (7, (4,)),
+)
+
+
+def _unicyclic(instances=UNICYCLIC_INSTANCES, **_):
+    return (FamilySpec("unicyclic", (c,) + tuple(parents)) for c, parents in instances)
 
 
 def minimum_resolving_sets(g, variant, size, dm=None):
     """All resolving sets of the given (minimum) cardinality."""
-    from itertools import combinations
-
-    from .multisets import is_resolving
-
     if dm is None:
         dm = all_pairs_distances(g)
     return [
@@ -354,7 +369,7 @@ def minimum_resolving_sets(g, variant, size, dm=None):
     ]
 
 
-def check_wheel_lemma_1or3(n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
+def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
     """Necessary-condition check on every minimum wheel resolving set.
 
     This check applies the structure condition as a hard necessary one; for
@@ -362,7 +377,6 @@ def check_wheel_lemma_1or3(n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
     P_2 inside W is invisible to the outer comparison, so such bases do
     resolve), leaving interpretation to the caller.
     """
-    check = TheoremCheck("wheel_lemma_1or3")
     wanted = {Variant.from_name(v) for v in variants}
     for n in range(n_lo, n_hi + 1):
         g = gen(FamilySpec("wheel", (n,)))
@@ -370,7 +384,7 @@ def check_wheel_lemma_1or3(n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
         for variant, outer in ((Variant.LMD, False), (Variant.LDIM_MS, True)):
             if variant not in wanted:
                 continue
-            result = _solve(g, variant)
+            result = dimension(g, variant)
             if result.is_infinite:
                 continue
             for W in minimum_resolving_sets(g, variant, int(result.value), dm):
@@ -379,57 +393,6 @@ def check_wheel_lemma_1or3(n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
                     f"{variant.name.lower()}_path_structure",
                     wheel_path_structure(n, W, outer),
                 )
-    return check
-
-
-def check_complete(n_lo=2, n_hi=8, **_):
-    check = TheoremCheck("complete")
-    for n in range(n_lo, n_hi + 1):
-        spec = FamilySpec("complete", (n,))
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
-
-
-def _order_vectors(lo, hi, sizes):
-    for m in sizes:
-        yield from combinations_with_replacement(range(lo, hi + 1), m)
-
-
-def check_amal(max_order=4, sizes=(2, 3), **_):
-    check = TheoremCheck("amal")
-    for orders in _order_vectors(1, max_order, sizes):
-        spec = FamilySpec("amal", orders)
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
-
-
-def check_edge_amal(max_order=4, sizes=(2, 3), **_):
-    check = TheoremCheck("edge_amal")
-    for orders in _order_vectors(2, max_order, sizes):
-        spec = FamilySpec("edge_amal", orders)
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
 
 
 CORONA_MIXED_INSTANCES = (
@@ -456,21 +419,20 @@ CORONA_MIXED_INSTANCES = (
 )
 
 
-def check_corona(path_orders=(3, 4, 5), **_):
+def check_corona(check, path_orders=(3, 4, 5), **_):
     """Corona lower bounds everywhere; sharpness at odd path orders.
 
     Sharpness does not extend to every path of order >= 3: exhaustive
     search gives lmd(P_4 . K_2) = ldim_ms(P_4 . K_2) = 5, so equality is
     asserted for odd orders only and the even orders get the inequality.
     """
-    check = TheoremCheck("corona")
     for k in path_orders:
         spec = FamilySpec(
             "corona", tuple([2] * k), (FamilySpec("path", (k,)),)
         )
         g = gen(spec)
-        lmd = _solve(g, Variant.LMD).value
-        ldms = _solve(g, Variant.LDIM_MS).value
+        lmd = dimension(g, Variant.LMD).value
+        ldms = dimension(g, Variant.LDIM_MS).value
         if k % 2 == 1:
             check.add(spec, "lmd_sharp", k, lmd)
             check.add(spec, "ldim_ms_sharp", k, ldms)
@@ -479,12 +441,11 @@ def check_corona(path_orders=(3, 4, 5), **_):
             check.add_flag(spec, "ldim_ms_ge_sum", ldms >= k)
     for base_text, orders in CORONA_MIXED_INSTANCES:
         spec = FamilySpec(
-            "corona", tuple(orders), (parse_spec_cached(base_text),)
+            "corona", tuple(orders), (parse_family_spec(base_text),)
         )
         g = gen(spec)
-        m = len(orders)
-        lmd = _solve(g, Variant.LMD).value
-        ldms = _solve(g, Variant.LDIM_MS).value
+        lmd = dimension(g, Variant.LMD).value
+        ldms = dimension(g, Variant.LDIM_MS).value
         if all(mi <= 2 for mi in orders):
             # corrected: order-1 pendant cliques create no K-end pair, so the
             # finite lower bound counts the order-2 cliques only (P_3 with one
@@ -497,52 +458,13 @@ def check_corona(path_orders=(3, 4, 5), **_):
         check.add_flag(
             spec, "ldim_ms_ge_sum", ldms >= sum(mi - 1 for mi in orders)
         )
-    return check
 
 
-@lru_cache(maxsize=None)
-def parse_spec_cached(text):
-    from .generators import parse_family_spec
-
-    return parse_family_spec(text)
-
-
-UNICYCLIC_INSTANCES = (
-    (3, (0,)),
-    (3, (0, 1, 3)),
-    (4, (1,)),
-    (4, (0, 2)),
-    (5, (2, 0)),
-    (5, (0, 5, 6)),
-    (6, (1,)),
-    (6, (0, 3, 6)),
-    (7, (4,)),
-)
-
-
-def check_unicyclic(instances=UNICYCLIC_INSTANCES, **_):
-    check = TheoremCheck("unicyclic")
-    for c, parents in instances:
-        spec = FamilySpec("unicyclic", (c,) + tuple(parents))
-        g = gen(spec)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            check.add(
-                spec,
-                variant.name.lower(),
-                closed_form(spec, variant),
-                _solve(g, variant).value,
-            )
-    return check
-
-
-def check_clique_gadget(sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
-    check = TheoremCheck("clique_gadget")
+def check_clique_gadget(check, sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
     for n in sizes:
         gadget = gen_clique_gadget(n)
         g = gadget.graph
         target = max(1, (n - 1).bit_length())
-        from .graph import clique_number
-
         check.add(f"gadget:{n}", "omega", n, clique_number(g))
         cert_lmd = certify(g, gadget.landmarks, Variant.LMD)
         cert_out = certify(g, gadget.landmarks, Variant.LDIM_MS)
@@ -559,7 +481,7 @@ def check_clique_gadget(sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
                     f"gadget:{n}",
                     f"{variant.name.lower()}_exact",
                     target,
-                    _solve(g, variant).value,
+                    dimension(g, variant).value,
                 )
         else:
             # certificate (upper bound |W| = target) + lower bound pin the value
@@ -568,23 +490,18 @@ def check_clique_gadget(sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
                 "certificate_matches_bound",
                 len(gadget.landmarks) == target,
             )
-    return check
 
 
-def check_chromatic_bound(chi_hi=50, **_):
-    check = TheoremCheck("chromatic_bound")
-    from .bounds import g_bound
-
+def check_chromatic_bound(check, chi_hi=50, **_):
     for chi in range(1, chi_hi + 1):
         check.add(f"(d=2,chi={chi})", "g", _ceil_div(chi, 2), g_bound(2, chi))
         # ceil(sqrt(chi + 2)) - 1, via isqrt to stay in exact integers
         check.add(
             f"(d=3,chi={chi})", "g", max(1, math.isqrt(chi + 1)), g_bound(3, chi)
         )
-    return check
 
 
-def check_maxsubgraph_sharpness(**_):
+def check_maxsubgraph_sharpness(check, **_):
     """Leafless-core upper bound on pendant instances, with equality cases.
 
     One pendant vertex per core vertex; equality is asserted where it
@@ -592,23 +509,20 @@ def check_maxsubgraph_sharpness(**_):
     inequality elsewhere (for odd cycles the pendants break the odd-cycle
     obstruction, so lmd drops strictly below the core's value).
     """
-    check = TheoremCheck("maxsubgraph_sharpness")
     for base_text in ("cycle:5", "cycle:6", "cycle:7"):
-        base = gen(parse_spec_cached(base_text))
-        spec = FamilySpec(
-            "corona", tuple([1] * base.n), (parse_spec_cached(base_text),)
-        )
+        base_spec = parse_family_spec(base_text)
+        base = gen(base_spec)
+        spec = FamilySpec("corona", tuple([1] * base.n), (base_spec,))
         g = gen(spec)
         core, vertices = two_core(g)
         check.add(spec, "core_vertices", tuple(range(base.n)), vertices)
         for variant in (Variant.LMD, Variant.LDIM_MS):
-            core_val = _solve(core, variant).value
-            val = _solve(g, variant).value
+            core_val = dimension(core, variant).value
+            val = dimension(g, variant).value
             name = variant.name.lower()
             check.add_flag(spec, f"{name}_le_core", val <= core_val)
             if variant is Variant.LDIM_MS or base.n % 2 == 0:
                 check.add(spec, f"{name}_equals_core", core_val, val)
-    return check
 
 
 # --- exhaustive small-graph corpus ------------------------------------------
@@ -643,7 +557,8 @@ def _examine_graph(g):
         failures.append(("infmd_diam", desc))
     if same_neighborhood_triples(g) and not md_inf:
         failures.append(("infmd_triple", desc))
-    for cert in infinite_certificates(g, dm):
+    report = lower_bounds(g, dm)
+    for cert in report.certificates:
         if val[cert.variant] != INFINITE:
             failures.append(("certificate_confirmed", f"{desc} {cert.kind}"))
 
@@ -652,7 +567,6 @@ def _examine_graph(g):
         if extremal != (is_regular(g) and dm.diameter <= 2):
             failures.append(("dms_extremal", desc))
 
-    report = lower_bounds(g, dm)
     for variant in (Variant.LMD, Variant.LDIM_MS):
         if report.lower[variant].value > val[variant]:
             failures.append(
@@ -695,6 +609,10 @@ def corpus_scan(n_max=6, jobs=1):
     Returns (graph_count, failures) where failures is a list of
     (clause, description) pairs; cached per n_max.
     """
+    if n_max < 1 or jobs < 1:
+        raise GraphValidationError(
+            f"corpus_scan needs n_max >= 1 and jobs >= 1, got {n_max} and {jobs}"
+        )
     if n_max in _CORPUS_CACHE:
         return _CORPUS_CACHE[n_max]
     count = 0
@@ -718,71 +636,54 @@ def corpus_scan(n_max=6, jobs=1):
     return count, failures
 
 
-def _corpus_check(theorem_id, clauses, n_max, jobs):
-    count, failures = corpus_scan(n_max, jobs)
-    check = TheoremCheck(theorem_id)
-    relevant = [f for f in failures if f[0] in clauses]
-    check.add_flag(
-        f"all connected graphs n<={n_max} ({count} graphs)",
-        "+".join(clauses),
-        not relevant,
-        note="; ".join(f"{c}: {d}" for c, d in relevant[:5]),
-    )
-    return check
+def corpus_clauses(*clauses):
+    """Build a check that no corpus graph fails any of the given clauses."""
+
+    def check_corpus(check, n_max=5, jobs=1, **_):
+        count, failures = corpus_scan(n_max, jobs)
+        relevant = [f for f in failures if f[0] in clauses]
+        check.add_flag(
+            f"all connected graphs n<={n_max} ({count} graphs)",
+            "+".join(clauses),
+            not relevant,
+            note="; ".join(f"{c}: {d}" for c, d in relevant[:5]),
+        )
+
+    return check_corpus
 
 
-def check_observation_chain(n_max=5, jobs=1, **_):
-    return _corpus_check("observation_chain", ("observation_chain",), n_max, jobs)
+LOCAL_VARIANTS = (Variant.LMD, Variant.LDIM_MS)
 
-
-def check_bipartite_iff_1(n_max=5, jobs=1, **_):
-    return _corpus_check("bipartite_iff_1", ("bipartite_iff_1",), n_max, jobs)
-
-
-def check_infmd(n_max=5, jobs=1, **_):
-    return _corpus_check(
-        "infmd", ("infmd_diam", "infmd_triple", "certificate_confirmed"), n_max, jobs
-    )
-
-
-def check_dms_extremal(n_max=5, jobs=1, **_):
-    return _corpus_check("dms_extremal", ("dms_extremal",), n_max, jobs)
-
-
-def check_lower_bounds(n_max=5, jobs=1, **_):
-    return _corpus_check("lower_bounds", ("lower_bound_le_exact",), n_max, jobs)
-
-
-def check_maxsubgraph(n_max=5, jobs=1, **_):
-    return _corpus_check("maxsubgraph", ("maxsubgraph_le",), n_max, jobs)
-
-
+# theorem id -> check; run_all runs them in this order. A closed form of a
+# new family is one closed_forms row here plus its spec iterator.
 THEOREMS = {
-    "cycles": check_cycles,
-    "wheels": check_wheels,
-    "wheel_ldim": check_wheel_ldim,
+    "cycles": closed_forms(_sizes("cycle", 3, 12), LOCAL_VARIANTS),
+    "wheels": closed_forms(_sizes("wheel", 3, 12), LOCAL_VARIANTS),
+    "wheel_ldim": closed_forms(_sizes("wheel", 3, 12), (Variant.LDIM,)),
     "wheel_lemma_1or3": check_wheel_lemma_1or3,
-    "complete": check_complete,
-    "amal": check_amal,
-    "edge_amal": check_edge_amal,
+    "complete": closed_forms(_sizes("complete", 2, 8), LOCAL_VARIANTS),
+    "amal": closed_forms(_order_vectors("amal", 1), LOCAL_VARIANTS),
+    "edge_amal": closed_forms(_order_vectors("edge_amal", 2), LOCAL_VARIANTS),
     "corona": check_corona,
-    "unicyclic": check_unicyclic,
+    "unicyclic": closed_forms(_unicyclic, LOCAL_VARIANTS),
     "clique_gadget": check_clique_gadget,
     "chromatic_bound": check_chromatic_bound,
     "maxsubgraph_sharpness": check_maxsubgraph_sharpness,
-    "observation_chain": check_observation_chain,
-    "bipartite_iff_1": check_bipartite_iff_1,
-    "infmd": check_infmd,
-    "dms_extremal": check_dms_extremal,
-    "lower_bounds": check_lower_bounds,
-    "maxsubgraph": check_maxsubgraph,
+    "observation_chain": corpus_clauses("observation_chain"),
+    "bipartite_iff_1": corpus_clauses("bipartite_iff_1"),
+    "infmd": corpus_clauses("infmd_diam", "infmd_triple", "certificate_confirmed"),
+    "dms_extremal": corpus_clauses("dms_extremal"),
+    "lower_bounds": corpus_clauses("lower_bound_le_exact"),
+    "maxsubgraph": corpus_clauses("maxsubgraph_le"),
 }
 
 
 def run_theorem(theorem_id, **params):
     if theorem_id not in THEOREMS:
         raise NoClosedFormError(f"unknown theorem id {theorem_id!r}")
-    return THEOREMS[theorem_id](**params)
+    check = TheoremCheck(theorem_id)
+    THEOREMS[theorem_id](check, **params)
+    return check
 
 
 def run_all(**params):

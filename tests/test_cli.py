@@ -155,3 +155,16 @@ def test_compute_parallel_jobs(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 2
+
+
+def test_compute_rejects_nonpositive_jobs(capsys):
+    code, _, err = run(capsys, "compute", "--gen", "cycle:5", "--jobs", "-3")
+    assert code == 1
+    assert "parallel_shards" in err
+
+
+def test_verify_rejects_empty_corpus(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "infmd", "--n-max", "0")
+    assert code == 1
+    assert "n_max" in err
+    assert "pass" not in out

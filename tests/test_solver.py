@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multires import solver
 from multires.errors import BudgetExhaustedError, CapExceededError
 from multires.generators import (
     gen_complete,
@@ -74,11 +75,18 @@ def test_infinite_results_carry_certificates():
 
 
 def test_exhaustion_without_shortcuts():
-    opts = SolverOptions(use_infinite_shortcuts=False, use_structural_pruning=False)
-    r = dimension(gen_complete(4), Variant.LMD, opts=opts)
+    # C_5 has no LMD certificate and no K-end constraint: only the full scan
+    # settles that lmd(C_5) is infinite
+    r = dimension(gen_cycle(5), Variant.LMD)
     assert r.is_infinite
-    assert r.certificate == "exhausted all 2^4 - 1 subsets"
-    assert r.subsets_checked == 15
+    assert r.certificate == "exhausted all 2^5 - 1 subsets"
+    assert r.subsets_checked == 31
+
+
+def test_always_finite_variant_never_exhausts_silently(monkeypatch):
+    monkeypatch.setattr(solver, "_subset_resolves", lambda *args: False)
+    with pytest.raises(RuntimeError, match="internal error"):
+        dimension(gen_cycle(5), Variant.DIM)
 
 
 def test_cap_enforced():
@@ -142,6 +150,32 @@ def test_solve_all_consistent_with_dimension():
     combined = solve_all(g)
     for variant, result in combined.items():
         assert result.value == dimension(g, variant).value
+
+
+def test_naive_oracle_does_not_use_the_solver_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the oracle called the solver's kernel")
+
+    monkeypatch.setattr(solver, "_subset_resolves", kernel)
+    got = naive_all_dimensions(gen_cycle(6))
+    assert {v: (r.value, r.witness) for v, r in got.items()} == {
+        Variant.DIM: (2, (0, 1)),
+        Variant.LDIM: (1, (0,)),
+        Variant.MD: (3, (0, 1, 3)),
+        Variant.DIM_MS: (3, (0, 1, 3)),
+        Variant.LMD: (1, (0,)),
+        Variant.LDIM_MS: (1, (0,)),
+    }
+    got = naive_all_dimensions(gen_complete(4))
+    assert {v: r.value for v, r in got.items()} == {
+        Variant.DIM: 3,
+        Variant.LDIM: 3,
+        Variant.MD: INFINITE,
+        Variant.DIM_MS: 3,
+        Variant.LMD: INFINITE,
+        Variant.LDIM_MS: 3,
+    }
+    assert got[Variant.LMD].certificate == "exhausted all 2^4 - 1 subsets"
 
 
 def test_pruned_solver_matches_naive_on_random_graphs():

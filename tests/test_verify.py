@@ -8,6 +8,7 @@ from multires.verify import (
     THEOREMS,
     closed_form,
     corpus_scan,
+    run_all,
     run_theorem,
     wheel_path_structure,
 )
@@ -185,3 +186,27 @@ def test_theorem_registry_is_complete():
         "maxsubgraph",
     }
     assert set(THEOREMS) == expected
+
+
+def test_run_all_instance_lists_are_pinned():
+    got = [(c.theorem_id, len(c.instances)) for c in run_all(n_max=4)]
+    assert got == [
+        ("cycles", 20),
+        ("wheels", 20),
+        ("wheel_ldim", 10),
+        ("wheel_lemma_1or3", 135),
+        ("complete", 14),
+        ("amal", 60),
+        ("edge_amal", 32),
+        ("corona", 46),
+        ("unicyclic", 18),
+        ("clique_gadget", 32),
+        ("chromatic_bound", 100),
+        ("maxsubgraph_sharpness", 13),
+        ("observation_chain", 1),
+        ("bipartite_iff_1", 1),
+        ("infmd", 1),
+        ("dms_extremal", 1),
+        ("lower_bounds", 1),
+        ("maxsubgraph", 1),
+    ]
