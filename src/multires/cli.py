@@ -75,11 +75,7 @@ def _show(value):
 
 def cmd_compute(args):
     g = _read_graph(args)
-    opts = SolverOptions(
-        parallel_shards=args.jobs,
-        subset_budget=args.budget,
-        cap=_solver_cap(),
-    )
+    opts = SolverOptions(subset_budget=args.budget, cap=_solver_cap())
     results = {v: dimension(g, v, opts=opts) for v in _variants(args.variant)}
     payload = {
         "n": g.n,
@@ -162,8 +158,16 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); exit 2 is for caps and budgets."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multires",
         description="Exact resolvability invariants of connected graphs.",
     )
@@ -192,7 +196,6 @@ def build_parser():
         choices=[v.name.lower() for v in Variant] + ["all"],
         default="all",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel search shards")
     p.add_argument(
         "--budget", type=int, default=None, help="max subsets examined per variant"
     )
@@ -222,7 +225,10 @@ def build_parser():
         "--theorem", action="append",
         help="theorem id (repeatable; default: all)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the exhaustive corpus",
+    )
     p.add_argument(
         "--n-max", type=int, default=None,
         help="corpus size for exhaustive checks",

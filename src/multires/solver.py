@@ -4,12 +4,13 @@ Resolvability of the multiset variants is not monotone under adding
 landmarks, so there are no superset shortcuts: every subset of each
 cardinality is examined unless a theorem-backed constraint excludes it.
 Enumeration order is k = 1..n, subsets lexicographic within each k, and the
-first success is returned, which makes witnesses deterministic.
+first success is returned, which makes witnesses deterministic. The search
+is one lazy sequential loop; a subset budget counts the subsets that pass
+the constraints, in that order.
 """
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,6 +26,9 @@ SOLVER_CAP_DEFAULT = 20
 
 @dataclass(frozen=True)
 class SolverOptions:
+    # Inert: the search is one sequential loop. Values below 1 are still
+    # rejected. Kept only because the benchmark's compute-jobs2 workload
+    # sets parallel_shards=2.
     parallel_shards: int = 1
     subset_budget: int = None
     cap: int = SOLVER_CAP_DEFAULT
@@ -162,14 +166,6 @@ def _subset_resolves(rows, edges, n, kind, scope, W):
     )
 
 
-def _scan_chunk(rows, edges, n, kind, scope, chunk):
-    """First resolving subset in a chunk; returns (local_index, witness)."""
-    for i, W in enumerate(chunk):
-        if _subset_resolves(rows, edges, n, kind, scope, W):
-            return (i, W)
-    return None
-
-
 def _passes(constraints, W):
     s = set(W)
     for c in constraints:
@@ -188,9 +184,11 @@ def _elapsed_ms(t0):
 def dimension(g, variant, opts=None, dm=None):
     """Exact dimension for one variant, per the enumeration contract above."""
     opts = opts or SolverOptions()
-    if opts.parallel_shards < 1:
+    budget = opts.subset_budget
+    if opts.parallel_shards < 1 or opts.cap < 1 or (budget is not None and budget < 0):
         raise GraphValidationError(
-            f"parallel_shards must be at least 1, got {opts.parallel_shards}"
+            "SolverOptions needs parallel_shards >= 1, cap >= 1 and subset_budget"
+            f" >= 0, got {opts.parallel_shards}, {opts.cap} and {budget}"
         )
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
@@ -220,57 +218,23 @@ def dimension(g, variant, opts=None, dm=None):
         constraints = required_vertices(g, variant, cap=opts.cap)
 
     kind, scope = variant.kind, variant.scope
-    shards = opts.parallel_shards
-    if opts.subset_budget is not None:
-        shards = 1  # budget accounting follows strict enumeration order
     examined = 0
     for k in range(1, n + 1):
-        combos = [
-            W for W in combinations(range(n), k) if _passes(constraints, W)
-        ]
-        if not combos:
-            continue
-        hit = None
-        if shards == 1:
-            for i, W in enumerate(combos):
-                if opts.subset_budget is not None and examined + i >= opts.subset_budget:
-                    raise BudgetExhaustedError(examined + i, opts.subset_budget)
-                if _subset_resolves(rows, edges, n, kind, scope, W):
-                    hit = (i, W)
-                    break
-        else:
-            size = (len(combos) + shards - 1) // shards
-            chunks = [combos[i : i + size] for i in range(0, len(combos), size)]
-            with ProcessPoolExecutor(max_workers=shards) as pool:
-                results = list(
-                    pool.map(
-                        _scan_chunk,
-                        [rows] * len(chunks),
-                        [edges] * len(chunks),
-                        [n] * len(chunks),
-                        [kind] * len(chunks),
-                        [scope] * len(chunks),
-                        chunks,
-                    )
+        for W in combinations(range(n), k):
+            if not _passes(constraints, W):
+                continue
+            if budget is not None and examined >= budget:
+                raise BudgetExhaustedError(examined, budget)
+            examined += 1
+            if _subset_resolves(rows, edges, n, kind, scope, W):
+                return DimensionResult(
+                    variant=variant,
+                    value=k,
+                    witness=W,
+                    subsets_checked=examined,
+                    certificate=None,
+                    elapsed_ms=_elapsed_ms(t0),
                 )
-            best = None
-            for ci, res in enumerate(results):
-                if res is not None:
-                    gi = ci * size + res[0]
-                    if best is None or gi < best[0]:
-                        best = (gi, res[1])
-            hit = best
-        if hit is not None:
-            examined += hit[0] + 1
-            return DimensionResult(
-                variant=variant,
-                value=len(hit[1]),
-                witness=tuple(hit[1]),
-                subsets_checked=examined,
-                certificate=None,
-                elapsed_ms=_elapsed_ms(t0),
-            )
-        examined += len(combos)
 
     if variant.always_finite:
         raise RuntimeError(
@@ -290,7 +254,7 @@ def dimension(g, variant, opts=None, dm=None):
 def naive_all_dimensions(g, dm=None, variants=None):
     """Plain full scan for all requested variants in one subset sweep.
 
-    No pruning, no shortcuts, no sharding: this is the oracle the tuned
+    No pruning and no shortcuts: this is the oracle the tuned
     solver is tested against. It checks each subset with the definitions in
     `multisets` (vertex_keys and scope_pairs), not with the solver's kernel,
     and builds the keys once per representation kind per subset.

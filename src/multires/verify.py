@@ -13,9 +13,9 @@ from itertools import combinations, combinations_with_replacement
 from multiprocessing import Pool
 
 from .bounds import (
+    dms_extremal_check,
     g_bound,
     is_path_graph,
-    is_regular,
     lower_bounds,
     same_neighborhood_triples,
 )
@@ -562,10 +562,8 @@ def _examine_graph(g):
         if val[cert.variant] != INFINITE:
             failures.append(("certificate_confirmed", f"{desc} {cert.kind}"))
 
-    if n >= 2:
-        extremal = val[Variant.DIM_MS] == n - 1
-        if extremal != (is_regular(g) and dm.diameter <= 2):
-            failures.append(("dms_extremal", desc))
+    if n >= 2 and not dms_extremal_check(g, results[Variant.DIM_MS], dm):
+        failures.append(("dms_extremal", desc))
 
     for variant in (Variant.LMD, Variant.LDIM_MS):
         if report.lower[variant].value > val[variant]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from multires.cli import main
 from multires.graph import parse_graph6
 
@@ -148,19 +150,49 @@ def test_input_error_exit_code(capsys):
     assert "unknown family" in err
 
 
-def test_compute_parallel_jobs(capsys):
+def test_budget_zero_is_valid(capsys):
+    # a structural certificate answers without examining any subset
     code, out, _ = run(
-        capsys, "compute", "--gen", "wheel:8", "--variant", "lmd",
-        "--jobs", "2", "--output", "json",
+        capsys, "compute", "--gen", "complete:4", "--variant", "lmd", "--budget", "0"
     )
     assert code == 0
-    assert json.loads(out)["results"][0]["value"] == 2
+    assert "infinity" in out
 
 
-def test_compute_rejects_nonpositive_jobs(capsys):
-    code, _, err = run(capsys, "compute", "--gen", "cycle:5", "--jobs", "-3")
+def test_negative_budget_is_input_error(capsys):
+    code, _, err = run(
+        capsys, "compute", "--gen", "cycle:5", "--variant", "lmd", "--budget", "-1"
+    )
     assert code == 1
-    assert "parallel_shards" in err
+    assert "subset_budget" in err
+
+
+def test_env_cap_below_one_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("MULTIRES_CAP", "-1")
+    code, _, err = run(capsys, "compute", "--gen", "cycle:5")
+    assert code == 1
+    assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--gen", "cycle:5", "--variant", "foo"], "invalid choice"),
+        (["compute", "--gen", "cycle:5", "--jobs", "2"], "unrecognized arguments"),
+    ],
+)
+def test_usage_error_exit_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--help"])
+    assert info.value.code == 0
+    assert "--jobs" not in capsys.readouterr().out
 
 
 def test_verify_rejects_empty_corpus(capsys):

@@ -1,3 +1,4 @@
+import multiprocessing.process
 import random
 
 import pytest
@@ -5,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multires import solver
-from multires.errors import BudgetExhaustedError, CapExceededError
+from multires.errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    GraphValidationError,
+)
 from multires.generators import (
     gen_complete,
     gen_cycle,
@@ -102,6 +107,46 @@ def test_budget_is_conclusive_or_raises():
     generous = dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=10**6))
     assert generous.value == full.value
     assert generous.witness == full.witness
+
+
+@pytest.mark.parametrize(
+    "g, variant",
+    [(gen_wheel(8), Variant.LDIM_MS), (gen_cycle(5), Variant.LMD)],
+    ids=["finite", "exhausted"],
+)
+def test_budget_boundary(g, variant):
+    full = dimension(g, variant)
+    exact = dimension(g, variant, opts=SolverOptions(subset_budget=full.subsets_checked))
+    assert exact.value == full.value
+    assert exact.witness == full.witness
+    assert exact.subsets_checked == full.subsets_checked
+    assert exact.certificate == full.certificate
+    short = full.subsets_checked - 1
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, variant, opts=SolverOptions(subset_budget=short))
+    assert (info.value.examined, info.value.budget) == (short, short)
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        SolverOptions(parallel_shards=0),
+        SolverOptions(subset_budget=-1),
+        SolverOptions(cap=0),
+    ],
+)
+def test_out_of_range_options_rejected(opts):
+    with pytest.raises(GraphValidationError):
+        dimension(gen_cycle(5), Variant.LMD, opts=opts)
+
+
+def test_parallel_shards_start_no_process(monkeypatch):
+    def start(self):
+        raise AssertionError("dimension() started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    r = dimension(gen_wheel(8), Variant.LMD, opts=SolverOptions(parallel_shards=3))
+    assert (r.value, r.witness) == (2, (0, 4))
 
 
 def test_required_vertices_lmd_pair_constraint():
