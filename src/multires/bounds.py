@@ -106,15 +106,14 @@ def same_neighborhood_triples(g):
     return [tuple(vs) for vs in groups.values() if len(vs) >= 3]
 
 
-def infinite_certificates(g, dm=None, cap=OMEGA_CAP):
+def infinite_certificates(g, cap=OMEGA_CAP):
     """Structural proofs of infiniteness for MD and LMD.
 
     MD: diameter <= 2 (paths excepted: md(P_2) = md(P_3) = 1, so the raw
     diameter condition is false for them) or three vertices with the same
     open neighbourhood. LMD: a clique with three or more K-end vertices.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
+    dm = all_pairs_distances(g)
     certs = []
     diam = dm.diameter
     if diam <= 2 and not is_path_graph(g):
@@ -155,15 +154,14 @@ def infinite_certificates(g, dm=None, cap=OMEGA_CAP):
     return certs
 
 
-def lower_bounds(g, dm=None, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
+def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     """Best applicable lower bound for LMD and LDIM_MS, with provenance.
 
     Each candidate bound is computed only when its inputs fit the exact caps;
     skipped candidates are listed so callers can tell that the report is
     partial rather than silently heuristic.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
+    diam = all_pairs_distances(g).diameter
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None
@@ -173,12 +171,11 @@ def lower_bounds(g, dm=None, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
         omega = clique_number(g)
         candidates.append(Bound(max(1, clique_log_bound(omega)), "clique_log"))
     else:
-        omega = None
         skipped.append(f"clique_log: n={g.n} exceeds omega cap {omega_cap}")
-    diam = dm.diameter
+        skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {omega_cap}")
     if diam >= 2:
         if g.n <= chi_cap:
-            chi = chromatic_number(g, lower=omega or 1)
+            chi = chromatic_number(g)
             candidates.append(Bound(g_bound(diam, chi), "chromatic_gdchi"))
         else:
             skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {chi_cap}")
@@ -192,7 +189,7 @@ def lower_bounds(g, dm=None, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
             Variant.LDIM_MS: tuple(candidates),
         },
         upper={Variant.DIM_MS: g.n - 1, Variant.LDIM_MS: g.n - 1},
-        certificates=tuple(infinite_certificates(g, dm, cap=omega_cap)),
+        certificates=tuple(infinite_certificates(g, cap=omega_cap)),
         skipped=tuple(skipped),
     )
 
@@ -202,14 +199,12 @@ def is_regular(g):
     return len(degs) == 1
 
 
-def dms_extremal_check(g, solved, dm=None):
+def dms_extremal_check(g, solved):
     """Check dim_ms = n-1 <=> regular with diameter <= 2 (both directions)."""
     if solved.variant is not Variant.DIM_MS:
         raise ValueError("dms_extremal_check needs the exact DIM_MS result")
-    if dm is None:
-        dm = all_pairs_distances(g)
     extremal = solved.value == g.n - 1
-    structural = is_regular(g) and dm.diameter <= 2
+    structural = is_regular(g) and all_pairs_distances(g).diameter <= 2
     return extremal == structural
 
 

@@ -10,7 +10,12 @@ import os
 import sys
 
 from .bounds import lower_bounds
-from .errors import BudgetExhaustedError, CapExceededError, MultiresError
+from .errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    GraphValidationError,
+    MultiresError,
+)
 from .generators import all_connected, gen, parse_family_spec
 from .graph import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .multisets import Variant
@@ -43,7 +48,7 @@ def _read_graph(args):
         with open(source) as fh:
             text = fh.read()
     if args.format == "graph6":
-        return parse_graph6(text.strip().splitlines()[0])
+        return parse_graph6((text.strip().splitlines() or [""])[0])
     return parse_edge_list(text)
 
 
@@ -135,6 +140,9 @@ def cmd_verify(args):
     params = {"jobs": args.jobs}
     if args.n_max is not None:
         params["n_max"] = args.n_max
+    # checked here, not in the corpus, because most theorems use no corpus
+    if min(params.values()) < 1:
+        raise GraphValidationError(f"verify needs n_max and jobs >= 1, got {params}")
     checks = [run_theorem(tid, **params) for tid in ids]
     payload = [c.to_json_dict() for c in checks]
     lines = []

@@ -3,10 +3,13 @@
 Vertices are dense integers 0..n-1. Graphs are simple, undirected and, for
 every dimension computation, connected. All structures here are immutable
 after construction and safe to share between workers.
+
+Only this module builds distances and cliques, memoized for the most recent graph.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -233,8 +236,9 @@ def to_edge_list(g):
     return "\n".join(f"{u} {v}" for u, v in g.edges)
 
 
+@lru_cache(maxsize=1)
 def all_pairs_distances(g):
-    """BFS from every vertex; errors on disconnected input."""
+    """BFS from every vertex, memoized for the last graph; errors if disconnected."""
     n = g.n
     adj = g.adj
     rows = []
@@ -283,9 +287,15 @@ def bipartition(g):
 
 
 def maximal_cliques(g, cap=OMEGA_CAP):
-    """Enumerate all maximal cliques (Bron-Kerbosch with pivoting)."""
+    """Tuple of all maximal cliques, memoized; the cap is checked before the memo."""
     if g.n > cap:
         raise CapExceededError("clique enumeration", g.n, cap)
+    return _maximal_cliques(g)
+
+
+@lru_cache(maxsize=1)
+def _maximal_cliques(g):
+    """Bron-Kerbosch with pivoting."""
     adj = g.adj
     out = []
 
@@ -300,17 +310,15 @@ def maximal_cliques(g, cap=OMEGA_CAP):
             excluded = excluded | {v}
 
     expand([], frozenset(range(g.n)), frozenset())
-    return out
+    return tuple(out)
 
 
-def clique_number(g, cap=OMEGA_CAP, cliques=None):
-    if cliques is None:
-        cliques = maximal_cliques(g, cap)
-    return max(len(c) for c in cliques)
+def clique_number(g, cap=OMEGA_CAP):
+    return max(len(c) for c in maximal_cliques(g, cap))
 
 
-def chromatic_number(g, cap=CHI_CAP, lower=1):
-    """Exact chromatic number by backtracking k-colorability, k ascending."""
+def chromatic_number(g, cap=CHI_CAP):
+    """Exact chromatic number by backtracking k-colorability, k ascending from omega."""
     if g.n > cap:
         raise CapExceededError("chromatic number", g.n, cap)
     if not g.edges:
@@ -319,7 +327,7 @@ def chromatic_number(g, cap=CHI_CAP, lower=1):
         return 2
     order = sorted(range(g.n), key=g.degree, reverse=True)
     adj = g.adj
-    for k in range(max(lower, 3), g.n + 1):
+    for k in range(max(clique_number(g, cap), 3), g.n + 1):
         colors = [-1] * g.n
 
         def feasible(pos, used):
@@ -343,18 +351,17 @@ def chromatic_number(g, cap=CHI_CAP, lower=1):
     return g.n
 
 
-def invariants(g, dm=None, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
+def invariants(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     """Exact classical invariants: diameter, omega, chi, bipartiteness."""
-    if dm is None:
-        dm = all_pairs_distances(g)
+    diameter = all_pairs_distances(g).diameter
     coloring = bipartition(g)
     omega = clique_number(g, cap=omega_cap)
     if coloring is not None:
         chi = 1 if not g.edges else 2
     else:
-        chi = chromatic_number(g, cap=chi_cap, lower=omega)
+        chi = chromatic_number(g, cap=chi_cap)
     return GraphInvariants(
-        diameter=dm.diameter,
+        diameter=diameter,
         omega=omega,
         chi=chi,
         bipartite=coloring is not None,

@@ -8,6 +8,7 @@ from enum import Enum
 from itertools import combinations
 
 from .errors import GraphValidationError
+from .graph import all_pairs_distances
 
 
 class Variant(Enum):
@@ -91,15 +92,15 @@ def _check_W(g, W):
             raise GraphValidationError(f"vertex {w} out of range")
 
 
-def is_resolving(dm, g, W, variant):
+def is_resolving(g, W, variant):
     """True iff every pair in the variant's scope has distinct keys."""
     _check_W(g, W)
-    keys = vertex_keys(dm, sorted(W), variant.kind)
+    keys = vertex_keys(all_pairs_distances(g), sorted(W), variant.kind)
     return all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant.scope))
 
 
-def violating_pairs(dm, g, W, variant):
+def violating_pairs(g, W, variant):
     """All in-scope pairs with equal representations; empty iff resolving."""
     _check_W(g, W)
-    keys = vertex_keys(dm, sorted(W), variant.kind)
+    keys = vertex_keys(all_pairs_distances(g), sorted(W), variant.kind)
     return [(u, v) for u, v in scope_pairs(g, W, variant.scope) if keys[u] == keys[v]]

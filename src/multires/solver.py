@@ -181,7 +181,7 @@ def _elapsed_ms(t0):
     return int((time.perf_counter() - t0) * 1000)
 
 
-def dimension(g, variant, opts=None, dm=None):
+def dimension(g, variant, opts=None):
     """Exact dimension for one variant, per the enumeration contract above."""
     opts = opts or SolverOptions()
     budget = opts.subset_budget
@@ -193,14 +193,12 @@ def dimension(g, variant, opts=None, dm=None):
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
-    if dm is None:
-        dm = all_pairs_distances(g)
-    rows = dm.d
+    rows = all_pairs_distances(g).d
     edges = g.edges
     n = g.n
 
     if not variant.always_finite:
-        for cert in infinite_certificates(g, dm, cap=opts.cap):
+        for cert in infinite_certificates(g, cap=opts.cap):
             if cert.variant is variant:
                 return DimensionResult(
                     variant=variant,
@@ -251,7 +249,7 @@ def dimension(g, variant, opts=None, dm=None):
     )
 
 
-def naive_all_dimensions(g, dm=None, variants=None):
+def naive_all_dimensions(g, variants=None):
     """Plain full scan for all requested variants in one subset sweep.
 
     No pruning and no shortcuts: this is the oracle the tuned
@@ -260,8 +258,7 @@ def naive_all_dimensions(g, dm=None, variants=None):
     and builds the keys once per representation kind per subset.
     """
     t0 = time.perf_counter()
-    if dm is None:
-        dm = all_pairs_distances(g)
+    dm = all_pairs_distances(g)
     if variants is None:
         variants = list(Variant)
     n = g.n
@@ -302,12 +299,10 @@ def naive_all_dimensions(g, dm=None, variants=None):
     return {v: found[v] for v in variants}
 
 
-def certify(g, W, variant, dm=None):
+def certify(g, W, variant):
     """Validate a candidate resolving set, reporting all violating pairs."""
-    if dm is None:
-        dm = all_pairs_distances(g)
     witness = tuple(sorted(set(W)))
-    violating = tuple(violating_pairs(dm, g, witness, variant))
+    violating = tuple(violating_pairs(g, witness, variant))
     return Certificate(
         variant=variant,
         witness=witness,
@@ -316,8 +311,6 @@ def certify(g, W, variant, dm=None):
     )
 
 
-def solve_all(g, opts=None, dm=None):
-    """dimension() for all six variants, sharing one distance matrix."""
-    if dm is None:
-        dm = all_pairs_distances(g)
-    return {v: dimension(g, v, opts=opts, dm=dm) for v in Variant}
+def solve_all(g, opts=None):
+    """dimension() for all six variants; graph.py memoizes distances and cliques."""
+    return {v: dimension(g, v, opts=opts) for v in Variant}

@@ -360,13 +360,9 @@ def _unicyclic(instances=UNICYCLIC_INSTANCES, **_):
     return (FamilySpec("unicyclic", (c,) + tuple(parents)) for c, parents in instances)
 
 
-def minimum_resolving_sets(g, variant, size, dm=None):
+def minimum_resolving_sets(g, variant, size):
     """All resolving sets of the given (minimum) cardinality."""
-    if dm is None:
-        dm = all_pairs_distances(g)
-    return [
-        W for W in combinations(range(g.n), size) if is_resolving(dm, g, W, variant)
-    ]
+    return [W for W in combinations(range(g.n), size) if is_resolving(g, W, variant)]
 
 
 def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
@@ -380,14 +376,13 @@ def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), 
     wanted = {Variant.from_name(v) for v in variants}
     for n in range(n_lo, n_hi + 1):
         g = gen(FamilySpec("wheel", (n,)))
-        dm = all_pairs_distances(g)
         for variant, outer in ((Variant.LMD, False), (Variant.LDIM_MS, True)):
             if variant not in wanted:
                 continue
             result = dimension(g, variant)
             if result.is_infinite:
                 continue
-            for W in minimum_resolving_sets(g, variant, int(result.value), dm):
+            for W in minimum_resolving_sets(g, variant, int(result.value)):
                 check.add_flag(
                     f"wheel:{n} W={W}",
                     f"{variant.name.lower()}_path_structure",
@@ -532,8 +527,7 @@ def _examine_graph(g):
     """Per-graph clause checks for the exhaustive corpus; returns failures."""
     failures = []
     n = g.n
-    dm = all_pairs_distances(g)
-    results = naive_all_dimensions(g, dm)
+    results = naive_all_dimensions(g)
     val = {v: results[v].value for v in Variant}
     desc = f"n={n} edges={g.edges}"
 
@@ -553,16 +547,16 @@ def _examine_graph(g):
         failures.append(("bipartite_iff_1", desc))
 
     md_inf = val[Variant.MD] == INFINITE
-    if (dm.diameter <= 2 and not is_path_graph(g)) and not md_inf:
+    if (all_pairs_distances(g).diameter <= 2 and not is_path_graph(g)) and not md_inf:
         failures.append(("infmd_diam", desc))
     if same_neighborhood_triples(g) and not md_inf:
         failures.append(("infmd_triple", desc))
-    report = lower_bounds(g, dm)
+    report = lower_bounds(g)
     for cert in report.certificates:
         if val[cert.variant] != INFINITE:
             failures.append(("certificate_confirmed", f"{desc} {cert.kind}"))
 
-    if n >= 2 and not dms_extremal_check(g, results[Variant.DIM_MS], dm):
+    if n >= 2 and not dms_extremal_check(g, results[Variant.DIM_MS]):
         failures.append(("dms_extremal", desc))
 
     for variant in (Variant.LMD, Variant.LDIM_MS):

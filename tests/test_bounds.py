@@ -96,6 +96,14 @@ def test_lower_bounds_skips_above_caps_but_keeps_clique_log():
     assert any("chromatic_gdchi" in note for note in report.skipped)
 
 
+def test_lower_bounds_lists_skipped_k_end_certificate():
+    # lmd(K_25) is infinite, but above the omega cap no clique is enumerated
+    report = lower_bounds(gen_complete(25))
+    assert [c.kind for c in report.certificates] == ["diam_le_2"]
+    assert any(note.startswith("clique_log") for note in report.skipped)
+    assert any(note.startswith("triple_k_end") for note in report.skipped)
+
+
 def test_lower_bounds_bipartite():
     report = lower_bounds(gen_cycle(8))
     assert report.lower[Variant.LMD].value == 1

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -61,6 +62,15 @@ def test_compute_graph6_input(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 2
+
+
+@pytest.mark.parametrize("text", ["", " \n\n"])
+def test_compute_empty_graph6_stdin_is_input_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "compute", "--format", "graph6")
+    assert code == 1
+    assert out == ""
+    assert "empty graph6 input" in err
 
 
 def test_certify_valid_and_invalid(capsys):
@@ -200,3 +210,15 @@ def test_verify_rejects_empty_corpus(capsys):
     assert code == 1
     assert "n_max" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--jobs", "-3", "jobs"), ("--n-max", "0", "n_max")],
+)
+def test_verify_rejects_out_of_range_sizes_without_corpus(capsys, flag, value, name):
+    # cycles is a closed-form theorem: it never reaches corpus_scan's check
+    code, out, err = run(capsys, "verify", "--theorem", "cycles", flag, value)
+    assert code == 1
+    assert out == ""
+    assert name in err

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from multires.bounds import lower_bounds
 from multires.errors import (
     CapExceededError,
     DisconnectedGraphError,
@@ -11,6 +12,7 @@ from multires.errors import (
 from multires.generators import gen_complete, gen_cycle, gen_path, gen_star, gen_wheel
 from multires.graph import (
     Graph,
+    _maximal_cliques,
     all_pairs_distances,
     bipartition,
     chromatic_number,
@@ -25,6 +27,8 @@ from multires.graph import (
     to_graph6,
     two_core,
 )
+from multires.multisets import Variant
+from multires.solver import certify, solve_all
 
 from strategies import connected_graphs
 
@@ -162,3 +166,47 @@ def test_k_end_structure():
     structure = k_end_structure(g)
     assert structure == [((0, 1, 2, 3), (0, 1, 2))]
     assert k_end_structure(gen_cycle(6)) == []
+
+
+# --- the per-graph memo: distances and cliques are built once per graph -----
+
+
+def _clear_memos():
+    all_pairs_distances.cache_clear()
+    _maximal_cliques.cache_clear()
+
+
+def test_solve_all_builds_distances_and_cliques_once():
+    _clear_memos()
+    solve_all(gen_wheel(8))
+    assert all_pairs_distances.cache_info().misses == 1
+    assert _maximal_cliques.cache_info().misses == 1
+
+
+def test_lower_bounds_then_certify_builds_one_matrix():
+    g = gen_wheel(30)
+    _clear_memos()
+    lower_bounds(g)
+    for variant in Variant:
+        certify(g, (0, 1, 2), variant)
+    assert all_pairs_distances.cache_info().misses == 1
+
+
+def test_clique_cap_is_checked_on_a_memo_hit():
+    maximal_cliques(gen_complete(5))
+    with pytest.raises(CapExceededError):
+        maximal_cliques(gen_complete(5), cap=4)
+
+
+def test_disconnected_graph_raises_every_time():
+    g = Graph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs_distances(g)
+
+
+def test_equal_graphs_get_equal_distances():
+    a = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph(4, [(2, 3), (1, 2), (0, 1)])
+    assert a is not b and a == b
+    assert all_pairs_distances(a).d == all_pairs_distances(b).d

@@ -73,39 +73,35 @@ def test_scope_pairs():
 
 def test_is_resolving_c4():
     g = gen_cycle(4)
-    dm = all_pairs_distances(g)
     # a single landmark separates the two colour classes locally
-    assert is_resolving(dm, g, (0,), Variant.LMD)
-    assert not is_resolving(dm, g, (0,), Variant.DIM)
-    assert is_resolving(dm, g, (0, 1), Variant.DIM)
+    assert is_resolving(g, (0,), Variant.LMD)
+    assert not is_resolving(g, (0,), Variant.DIM)
+    assert is_resolving(g, (0, 1), Variant.DIM)
     # opposite vertices both see {1, 1}: not a multiset resolving set
-    assert not is_resolving(dm, g, (0, 1), Variant.MD)
+    assert not is_resolving(g, (0, 1), Variant.MD)
 
 
 def test_violating_pairs_reports_colliding_edge():
     g = gen_cycle(3)
-    dm = all_pairs_distances(g)
-    assert violating_pairs(dm, g, (0,), Variant.LMD) == [(1, 2)]
-    assert violating_pairs(dm, g, (0,), Variant.LDIM_MS) == [(1, 2)]
+    assert violating_pairs(g, (0,), Variant.LMD) == [(1, 2)]
+    assert violating_pairs(g, (0,), Variant.LDIM_MS) == [(1, 2)]
 
 
 def test_candidate_validation():
     g = gen_path(3)
-    dm = all_pairs_distances(g)
     with pytest.raises(GraphValidationError):
-        is_resolving(dm, g, (), Variant.DIM)
+        is_resolving(g, (), Variant.DIM)
     with pytest.raises(GraphValidationError):
-        is_resolving(dm, g, (7,), Variant.DIM)
+        is_resolving(g, (7,), Variant.DIM)
 
 
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(n_max=6))
 def test_vector_resolving_implies_multiset_scope_containment(g):
     """On a fixed W, the all-pairs scopes dominate the adjacent ones."""
-    dm = all_pairs_distances(g)
     W = tuple(range(g.n - 1)) or (0,)
-    if is_resolving(dm, g, W, Variant.MD):
-        assert is_resolving(dm, g, W, Variant.LMD)
-        assert is_resolving(dm, g, W, Variant.DIM)
-    if is_resolving(dm, g, W, Variant.DIM):
-        assert is_resolving(dm, g, W, Variant.LDIM)
+    if is_resolving(g, W, Variant.MD):
+        assert is_resolving(g, W, Variant.LMD)
+        assert is_resolving(g, W, Variant.DIM)
+    if is_resolving(g, W, Variant.DIM):
+        assert is_resolving(g, W, Variant.LDIM)

@@ -18,7 +18,7 @@ from multires.generators import (
     gen_star,
     gen_wheel,
 )
-from multires.graph import Graph, all_pairs_distances
+from multires.graph import Graph
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
@@ -238,8 +238,7 @@ def test_all_but_one_vertex_resolves_outer_variants(g, data):
     """W = V minus one vertex leaves nothing to distinguish pairwise."""
     x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
     W = tuple(v for v in range(g.n) if v != x) or (0,)
-    dm = all_pairs_distances(g)
-    assert is_resolving(dm, g, W, Variant.LDIM_MS)
+    assert is_resolving(g, W, Variant.LDIM_MS)
 
 
 @settings(max_examples=60, deadline=None)
