@@ -168,14 +168,14 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     if not bipartite:
         candidates.append(Bound(2, "nonbipartite_2"))
     if g.n <= omega_cap:
-        omega = clique_number(g)
+        omega = clique_number(g, cap=omega_cap)
         candidates.append(Bound(max(1, clique_log_bound(omega)), "clique_log"))
     else:
         skipped.append(f"clique_log: n={g.n} exceeds omega cap {omega_cap}")
         skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {omega_cap}")
     if diam >= 2:
         if g.n <= chi_cap:
-            chi = chromatic_number(g)
+            chi = chromatic_number(g, cap=chi_cap)
             candidates.append(Bound(g_bound(diam, chi), "chromatic_gdchi"))
         else:
             skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {chi_cap}")

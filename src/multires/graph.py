@@ -113,15 +113,12 @@ class Graph:
 class DistMatrix:
     """All-pairs shortest path distances (hop counts), immutable."""
 
-    __slots__ = ("n", "d")
+    __slots__ = ("n", "d", "diameter")
 
-    def __init__(self, n, d):
+    def __init__(self, n, d, diameter):
         self.n = n
         self.d = d
-
-    @property
-    def diameter(self):
-        return max(max(row) for row in self.d)
+        self.diameter = diameter
 
     def eccentricity(self, w):
         return max(self.d[w])
@@ -242,6 +239,7 @@ def all_pairs_distances(g):
     n = g.n
     adj = g.adj
     rows = []
+    diameter = 0
     for s in range(n):
         dist = [-1] * n
         dist[s] = 0
@@ -256,7 +254,8 @@ def all_pairs_distances(g):
         if -1 in dist:
             raise DisconnectedGraphError(s, dist.index(-1))
         rows.append(tuple(dist))
-    return DistMatrix(n, tuple(rows))
+        diameter = max(diameter, max(dist))
+    return DistMatrix(n, tuple(rows), diameter)
 
 
 def distance_layers(dm, w):

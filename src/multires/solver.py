@@ -7,12 +7,33 @@ Enumeration order is k = 1..n, subsets lexicographic within each k, and the
 first success is returned, which makes witnesses deterministic. The search
 is one lazy sequential loop; a subset budget counts the subsets that pass
 the constraints, in that order.
+
+The kernel (`_first_resolving`) walks the subsets of each cardinality as a
+depth-first search over combinations in lexicographic order (Knuth, TAOCP
+4A, 7.2.1.3). Each landmark w has a precomputed column, and a subset's value
+is its prefix's value extended by the column of its last landmark, so a
+subset costs O(n) integer operations instead of n sorted keys:
+
+- multiset kinds: the key of u is the sum over w in W of (n+1)**d(u, w),
+  equal for two vertices iff their distance multisets are equal. For the
+  outer scopes, w's own entry in its column is a distinct negative sentinel,
+  which takes W's vertices out of every comparison. The all and outer scopes
+  keep one key per vertex and test that the n keys are distinct; the
+  adjacent scopes keep one key difference per edge and test that none is 0.
+- vector kinds: column w is a bitmask of the in-scope pairs (all pairs for
+  DIM, the edges for LDIM) that w separates; W resolves iff the OR of its
+  columns has every bit set.
+
+The order, the constraint filter at each leaf and the budget count are
+those of a plain loop over `itertools.combinations`, so witnesses and
+`subsets_checked` are the same.
 """
 
 import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, or_
 
 from .bounds import infinite_certificates
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
@@ -141,29 +162,82 @@ def required_vertices(g, variant, cap=SOLVER_CAP_DEFAULT):
     return out
 
 
-def _subset_resolves(rows, edges, n, kind, scope, W):
-    if kind == "multiset":
-        keys = [tuple(sorted(row[w] for w in W)) for row in rows]
+def _first_resolving(g, variant, constraints, budget):
+    """The first resolving W, by k and then lexicographically (module docstring).
+
+    Returns (W, examined), W None when no subset resolves; `examined` counts
+    the subsets that pass the constraints.
+    """
+    dm = all_pairs_distances(g)
+    n, edges, scope = g.n, g.edges, variant.scope
+    if variant.kind == "vector":
+        # bit i of column w is set when w separates the i-th pair in scope;
+        # dm.d[w][u] is d(u, w)
+        pairs = list(combinations(range(n), 2)) if scope == "all" else edges
+        cols = [
+            sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
+            for row in dm.d
+        ]
+        full = (1 << len(pairs)) - 1
+        empty, extend = 0, or_
+
+        def resolves(acc, col):
+            return acc | col == full
+
     else:
-        keys = [tuple(row[w] for w in W) for row in rows]
-    if scope == "all":
-        return len(set(keys)) == n
-    if scope == "adjacent":
-        return all(keys[u] != keys[v] for u, v in edges)
-    wset = set(W)
-    if scope == "outer":
-        seen = set()
-        for u in range(n):
-            if u in wset:
+        # key(u) = sum over w in W of (n+1)**d(u, w): its base-(n+1) digits
+        # count the landmarks at each distance from u, and no count exceeds n
+        cols = [[(n + 1) ** d for d in row] for row in dm.d]
+        if scope in ("outer", "adjacent_outer"):
+            # a landmark's own entry is a sentinel: `top` exceeds every key,
+            # so the key of w in W lies in [-(w+1)*top, -w*top), below every
+            # key outside W and apart from the other landmarks' keys
+            top = (n + 1) ** (dm.diameter + 1)
+            for w, col in enumerate(cols):
+                col[w] = -(w + 1) * top
+        if scope in ("all", "outer"):
+
+            def resolves(acc, col):
+                return len(set(map(add, acc, col))) == n
+
+        else:
+            # one entry per edge: the difference of its ends' keys
+            cols = [[col[u] - col[v] for u, v in edges] for col in cols]
+
+            def resolves(acc, col):
+                return all(map(add, acc, col))
+
+        empty = [0] * len(cols[0])
+
+        def extend(acc, col):
+            return list(map(add, acc, col))
+
+    limit = math.inf if budget is None else budget
+    examined = 0
+
+    def search(first, depth, prefix, acc):
+        nonlocal examined
+        if depth > 1:
+            for w in range(first, n - depth + 1):
+                found = search(w + 1, depth - 1, prefix + (w,), extend(acc, cols[w]))
+                if found:
+                    return found
+            return None
+        for w in range(first, n):
+            if constraints and not _passes(constraints, prefix + (w,)):
                 continue
-            if keys[u] in seen:
-                return False
-            seen.add(keys[u])
-        return True
-    # adjacent_outer
-    return all(
-        keys[u] != keys[v] for u, v in edges if u not in wset and v not in wset
-    )
+            if examined >= limit:
+                raise BudgetExhaustedError(examined, budget)
+            examined += 1
+            if resolves(acc, cols[w]):
+                return prefix + (w,)
+        return None
+
+    for k in range(1, n + 1):
+        W = search(0, k, (), empty)
+        if W:
+            return W, examined
+    return None, examined
 
 
 def _passes(constraints, W):
@@ -193,9 +267,6 @@ def dimension(g, variant, opts=None):
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
-    rows = all_pairs_distances(g).d
-    edges = g.edges
-    n = g.n
 
     if not variant.always_finite:
         for cert in infinite_certificates(g, cap=opts.cap):
@@ -215,36 +286,27 @@ def dimension(g, variant, opts=None):
         # returned the triple_k_end certificate of the same K-end structure
         constraints = required_vertices(g, variant, cap=opts.cap)
 
-    kind, scope = variant.kind, variant.scope
-    examined = 0
-    for k in range(1, n + 1):
-        for W in combinations(range(n), k):
-            if not _passes(constraints, W):
-                continue
-            if budget is not None and examined >= budget:
-                raise BudgetExhaustedError(examined, budget)
-            examined += 1
-            if _subset_resolves(rows, edges, n, kind, scope, W):
-                return DimensionResult(
-                    variant=variant,
-                    value=k,
-                    witness=W,
-                    subsets_checked=examined,
-                    certificate=None,
-                    elapsed_ms=_elapsed_ms(t0),
-                )
-
+    W, examined = _first_resolving(g, variant, constraints, budget)
+    if W is not None:
+        return DimensionResult(
+            variant=variant,
+            value=len(W),
+            witness=W,
+            subsets_checked=examined,
+            certificate=None,
+            elapsed_ms=_elapsed_ms(t0),
+        )
     if variant.always_finite:
         raise RuntimeError(
             f"internal error: {variant.name} found no resolving set among all"
-            f" 2^{n} - 1 subsets, but it is always finite"
+            f" 2^{g.n} - 1 subsets, but it is always finite"
         )
     return DimensionResult(
         variant=variant,
         value=INFINITE,
         witness=None,
         subsets_checked=examined,
-        certificate=f"exhausted all 2^{n} - 1 subsets",
+        certificate=f"exhausted all 2^{g.n} - 1 subsets",
         elapsed_ms=_elapsed_ms(t0),
     )
 

@@ -100,6 +100,17 @@ def test_distances_path():
     assert distance_layers(dm, 0) == [(0,), (1,), (2,), (3,), (4,)]
 
 
+@pytest.mark.parametrize(
+    "g",
+    [gen_path(7), gen_cycle(9), gen_wheel(6), gen_star(5), gen_complete(1)],
+    ids=["path", "cycle", "wheel", "star", "k1"],
+)
+def test_diameter_is_the_largest_distance(g):
+    dm = all_pairs_distances(g)
+    assert dm.diameter == max(map(max, dm.d))
+    assert repr(dm) == f"DistMatrix(n={g.n}, diameter={dm.diameter})"
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(n_max=7))
 def test_distance_matrix_axioms(g):

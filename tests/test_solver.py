@@ -89,7 +89,7 @@ def test_exhaustion_without_shortcuts():
 
 
 def test_always_finite_variant_never_exhausts_silently(monkeypatch):
-    monkeypatch.setattr(solver, "_subset_resolves", lambda *args: False)
+    monkeypatch.setattr(solver, "_first_resolving", lambda *args: (None, 0))
     with pytest.raises(RuntimeError, match="internal error"):
         dimension(gen_cycle(5), Variant.DIM)
 
@@ -111,8 +111,12 @@ def test_budget_is_conclusive_or_raises():
 
 @pytest.mark.parametrize(
     "g, variant",
-    [(gen_wheel(8), Variant.LDIM_MS), (gen_cycle(5), Variant.LMD)],
-    ids=["finite", "exhausted"],
+    [
+        (gen_wheel(8), Variant.LDIM_MS),
+        (gen_cycle(5), Variant.LMD),
+        (gen_wheel(8), Variant.DIM_MS),
+    ],
+    ids=["finite", "exhausted", "outer"],
 )
 def test_budget_boundary(g, variant):
     full = dimension(g, variant)
@@ -201,7 +205,7 @@ def test_naive_oracle_does_not_use_the_solver_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("the oracle called the solver's kernel")
 
-    monkeypatch.setattr(solver, "_subset_resolves", kernel)
+    monkeypatch.setattr(solver, "_first_resolving", kernel)
     got = naive_all_dimensions(gen_cycle(6))
     assert {v: (r.value, r.witness) for v, r in got.items()} == {
         Variant.DIM: (2, (0, 1)),
@@ -230,6 +234,37 @@ def test_pruned_solver_matches_naive_on_random_graphs():
         naive = naive_all_dimensions(g)
         for variant in Variant:
             assert dimension(g, variant).value == naive[variant].value, g.edges
+
+
+def test_kernel_matches_naive_witnesses_and_counts():
+    rng = random.Random(271828)
+    counted = 0
+    for _ in range(500):
+        g = random_connected_graph(rng, n_max=8)
+        naive = naive_all_dimensions(g)
+        for variant in Variant:
+            got, want = dimension(g, variant), naive[variant]
+            where = (variant, g.edges)
+            assert (got.value, got.witness) == (want.value, want.witness), where
+            # a K-end constraint skips subsets the oracle counts, and a
+            # certificate answers before any subset is counted
+            constrained = variant in (Variant.LMD, Variant.LDIM_MS) and (
+                required_vertices(g, variant)
+            )
+            if got.subsets_checked and not constrained:
+                assert got.subsets_checked == want.subsets_checked, where
+                counted += 1
+    assert counted == 2558
+
+
+@pytest.mark.parametrize(
+    "g", [Graph(1, []), Graph(2, [(0, 1)])], ids=["one_vertex", "one_edge"]
+)
+def test_smallest_graphs_all_variants(g):
+    for variant in Variant:
+        r = dimension(g, variant)
+        got = (r.value, r.witness, r.subsets_checked, r.certificate)
+        assert got == (1, (0,), 1, None), variant
 
 
 @settings(max_examples=120, deadline=None)
