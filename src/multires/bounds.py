@@ -84,6 +84,63 @@ def g_bound(d, chi):
         k += 1
 
 
+def level_lower_bound(g, variant):
+    """Smallest k at which `variant` can have a resolving set of k vertices.
+
+    Counting bounds, with D the diameter: a vertex outside W has all its
+    distances to W in {1..D}. n + 1 means that no level can resolve.
+
+    - DIM: the n - k vertices outside W have vectors in {1..D}^k, and each
+      vertex of W has its one 0 in its own place, so n <= D^k + k
+      (Khuller, Raghavachari & Rosenfeld 1996, "Landmarks in graphs";
+      Chartrand et al. 2000).
+    - MD: outside W a multiset of size k over {1..D} is one of
+      C(k+D-1, D-1); in W it is one 0 and k - 1 entries in {1..D}, one of
+      C(k+D-2, D-1). So n <= C(k+D-1, D-1) + C(k+D-2, D-1), the count
+      behind the paper's g_bound with n in place of chi.
+    - DIM_MS: only the n - k vertices outside W must differ, so
+      n - k <= C(k+D-1, D-1).
+    - DIM_MS with D = 2, sharper: the multiset of u outside W is fixed by
+      c = |N(u) & W|, where max(0, k - (n-1-deg u)) <= c <= min(deg u, k).
+      Level k needs n - k vertices with distinct c (`_distinct_counts`).
+
+    The local variants get the trivial 1.
+    """
+    if g.n == 1 or variant not in (Variant.DIM, Variant.MD, Variant.DIM_MS):
+        return 1
+    n, D = g.n, all_pairs_distances(g).diameter
+
+    def fits(k):
+        if variant is Variant.DIM:
+            return n <= D**k + k
+        if variant is Variant.MD:
+            return n <= math.comb(k + D - 1, D - 1) + math.comb(k + D - 2, D - 1)
+        if D == 2:
+            return _distinct_counts(g, k) >= n - k
+        return n - k <= math.comb(k + D - 1, D - 1)
+
+    return next((k for k in range(1, n + 1) if fits(k)), n + 1)
+
+
+def _distinct_counts(g, k):
+    """Most vertices that can have pairwise distinct counts c = |N(u) & W|.
+
+    Each vertex's c lies in an interval (`level_lower_bound`); greedy
+    interval-point matching, intervals by right end and each given the
+    smallest free point, matches the most vertices.
+    """
+    spans = sorted(
+        (min(d, k), max(0, k - (g.n - 1 - d))) for d in map(g.degree, range(g.n))
+    )
+    used = set()
+    for hi, lo in spans:
+        while lo in used:
+            lo += 1
+        if lo <= hi:
+            used.add(lo)
+    return len(used)
+
+
 def clique_log_bound(omega):
     """ceil(log2 omega), computed exactly."""
     return (omega - 1).bit_length()

@@ -27,6 +27,17 @@ subset costs O(n) integer operations instead of n sorted keys:
 The order, the constraint filter at each leaf and the budget count are
 those of a plain loop over `itertools.combinations`, so witnesses and
 `subsets_checked` are the same.
+
+Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
+DIM_MS, counting the representations a vertex can have, with D the
+diameter, proves that no k-set resolves when n > D^k + k (DIM; Khuller,
+Raghavachari & Rosenfeld 1996, "Landmarks in graphs"; Chartrand et al.
+2000), when n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the
+paper's g_bound), or when n - k exceeds the number of multisets the vertices
+outside W can take (DIM_MS). These variants have no K-end constraints, so
+the plain loop would count every subset of a skipped level: the search adds
+C(n, k) for each one to `subsets_checked`, and raises the plain loop's
+budget error when that sum passes the budget.
 """
 
 import math
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add, or_
 
-from .bounds import infinite_certificates
+from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
 from .graph import all_pairs_distances, k_end_structure
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
@@ -91,15 +102,6 @@ class Constraint:
 
 
 @dataclass(frozen=True)
-class Contradiction:
-    """A clique with >= 3 K-end vertices: no LMD resolving set exists."""
-
-    clique: tuple
-    k_end: tuple
-    reason: str
-
-
-@dataclass(frozen=True)
 class Certificate:
     variant: Variant
     witness: tuple
@@ -119,7 +121,8 @@ def required_vertices(g, variant, cap=SOLVER_CAP_DEFAULT):
     """Theorem-backed membership constraints from K-end structure.
 
     LMD: a clique with two K-end vertices forces exactly one of them into
-    every resolving set; three or more is a contradiction. LDIM_MS: all but
+    every resolving set (three or more make lmd infinite, and `dimension()`
+    returns the triple_k_end certificate before asking). LDIM_MS: all but
     one of the K-end vertices must be inside; for exactly two K-end vertices
     the constraint follows from a strictly stronger argument and is flagged
     derived_from_proof.
@@ -129,27 +132,16 @@ def required_vertices(g, variant, cap=SOLVER_CAP_DEFAULT):
     out = []
     for clique, ends in k_end_structure(g, cap):
         t = len(ends)
-        if t < 2:
-            continue
-        if variant is Variant.LMD:
-            if t >= 3:
-                out.append(
-                    Contradiction(
-                        clique=clique,
-                        k_end=ends,
-                        reason=f"clique {clique} has {t} K-end vertices",
-                    )
+        if variant is Variant.LMD and t == 2:
+            out.append(
+                Constraint(
+                    vertices=ends,
+                    at_least=1,
+                    at_most=1,
+                    source=f"K-end pair of clique {clique}",
                 )
-            else:
-                out.append(
-                    Constraint(
-                        vertices=ends,
-                        at_least=1,
-                        at_most=1,
-                        source=f"K-end pair of clique {clique}",
-                    )
-                )
-        else:
+            )
+        elif variant is Variant.LDIM_MS and t >= 2:
             out.append(
                 Constraint(
                     vertices=ends,
@@ -213,7 +205,12 @@ def _first_resolving(g, variant, constraints, budget):
             return list(map(add, acc, col))
 
     limit = math.inf if budget is None else budget
-    examined = 0
+    # no subset of a level below k_min resolves; only the constraint-free
+    # variants get a k_min above 1, so the plain loop would count them all
+    k_min = level_lower_bound(g, variant)
+    examined = sum(math.comb(n, k) for k in range(1, k_min))
+    if examined > limit:
+        raise BudgetExhaustedError(budget, budget)
 
     def search(first, depth, prefix, acc):
         nonlocal examined
@@ -233,7 +230,7 @@ def _first_resolving(g, variant, constraints, budget):
                 return prefix + (w,)
         return None
 
-    for k in range(1, n + 1):
+    for k in range(k_min, n + 1):
         W = search(0, k, (), empty)
         if W:
             return W, examined
@@ -282,8 +279,6 @@ def dimension(g, variant, opts=None):
 
     constraints = []
     if variant in (Variant.LMD, Variant.LDIM_MS):
-        # no Contradiction: for LMD, infinite_certificates has already
-        # returned the triple_k_end certificate of the same K-end structure
         constraints = required_vertices(g, variant, cap=opts.cap)
 
     W, examined = _first_resolving(g, variant, constraints, budget)

@@ -16,6 +16,7 @@ from .bounds import (
     dms_extremal_check,
     g_bound,
     is_path_graph,
+    level_lower_bound,
     lower_bounds,
     same_neighborhood_triples,
 )
@@ -564,6 +565,9 @@ def _examine_graph(g):
             failures.append(
                 ("lower_bound_le_exact", f"{desc} {report.lower[variant]}")
             )
+    for variant in (Variant.DIM, Variant.MD, Variant.DIM_MS):
+        if level_lower_bound(g, variant) > val[variant]:
+            failures.append(("counting_bound_le_exact", f"{desc} {variant.name}"))
 
     try:
         core, vertices = two_core(g)
@@ -665,7 +669,9 @@ THEOREMS = {
     "bipartite_iff_1": corpus_clauses("bipartite_iff_1"),
     "infmd": corpus_clauses("infmd_diam", "infmd_triple", "certificate_confirmed"),
     "dms_extremal": corpus_clauses("dms_extremal"),
-    "lower_bounds": corpus_clauses("lower_bound_le_exact"),
+    "lower_bounds": corpus_clauses(
+        "lower_bound_le_exact", "counting_bound_le_exact"
+    ),
     "maxsubgraph": corpus_clauses("maxsubgraph_le"),
 }
 

@@ -9,6 +9,7 @@ from multires.bounds import (
     infinite_certificates,
     is_path_graph,
     is_regular,
+    level_lower_bound,
     lower_bounds,
     maxsubgraph_bound,
     same_neighborhood_triples,
@@ -120,6 +121,37 @@ def test_lower_bounds_honours_its_caps():
 def test_lower_bounds_bipartite():
     report = lower_bounds(gen_cycle(8))
     assert report.lower[Variant.LMD].value == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_level_lower_bound_complete(n):
+    # D = 1: only W's own zeros tell vertices apart
+    g = gen_complete(n)
+    assert level_lower_bound(g, Variant.DIM) == n - 1
+    assert level_lower_bound(g, Variant.DIM_MS) == n - 1
+    assert dimension(g, Variant.DIM).value == n - 1
+
+
+def test_level_lower_bound_wheels_dim_ms():
+    # D = 2: the hub's count c is k, the rim's lies in [0, 3] below k = 12,
+    # so at most 5 vertices outside W differ and n - k <= 5
+    assert level_lower_bound(gen_wheel(14), Variant.DIM_MS) == 10
+    assert level_lower_bound(gen_wheel(15), Variant.DIM_MS) == 11
+
+
+def test_level_lower_bound_long_cycle():
+    # D = 8: one landmark gives 8 distances outside W, fewer than 15 or 16
+    g = gen_cycle(16)
+    for variant in (Variant.DIM, Variant.MD, Variant.DIM_MS):
+        assert level_lower_bound(g, variant) == 2, variant
+
+
+def test_level_lower_bound_trivial_cases():
+    # no level of md(K_4) can resolve; the local variants get the trivial 1
+    assert level_lower_bound(gen_complete(4), Variant.MD) == 5
+    assert level_lower_bound(Graph(1, []), Variant.MD) == 1
+    for variant in (Variant.LDIM, Variant.LMD, Variant.LDIM_MS):
+        assert level_lower_bound(gen_complete(6), variant) == 1
 
 
 def test_dms_extremal_check():

@@ -1,3 +1,4 @@
+import math
 import multiprocessing.process
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multires import solver
+from multires.bounds import level_lower_bound
 from multires.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -23,7 +25,6 @@ from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
     Constraint,
-    Contradiction,
     SolverOptions,
     certify,
     dimension,
@@ -131,6 +132,24 @@ def test_budget_boundary(g, variant):
     assert (info.value.examined, info.value.budget) == (short, short)
 
 
+# wheel:14 (n = 15) DIM_MS starts its search at level 10; the plain loop
+# would first count the C(15, 1) + ... + C(15, 9) = 27 823 smaller subsets
+SKIPPED_W14 = sum(math.comb(15, k) for k in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [100, SKIPPED_W14, SKIPPED_W14 + 1],
+    ids=["inside_skipped", "equals_skipped", "inside_first_searched"],
+)
+def test_budget_boundary_in_skipped_levels(budget):
+    assert SKIPPED_W14 == 27823
+    g = gen_wheel(14)
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, Variant.DIM_MS, opts=SolverOptions(subset_budget=budget))
+    assert (info.value.examined, info.value.budget) == (budget, budget)
+
+
 @pytest.mark.parametrize(
     "opts",
     [
@@ -160,11 +179,6 @@ def test_required_vertices_lmd_pair_constraint():
     assert all(isinstance(e, Constraint) for e in entries)
     assert sorted(e.vertices for e in entries) == [(1, 2), (3, 4)]
     assert all((e.at_least, e.at_most) == (1, 1) for e in entries)
-
-
-def test_required_vertices_lmd_contradiction():
-    entries = required_vertices(gen_complete(4), Variant.LMD)
-    assert any(isinstance(e, Contradiction) for e in entries)
 
 
 def test_required_vertices_ldim_ms_flags_derived_case():
@@ -246,6 +260,7 @@ def test_kernel_matches_naive_witnesses_and_counts():
             got, want = dimension(g, variant), naive[variant]
             where = (variant, g.edges)
             assert (got.value, got.witness) == (want.value, want.witness), where
+            assert level_lower_bound(g, variant) <= want.value, where
             # a K-end constraint skips subsets the oracle counts, and a
             # certificate answers before any subset is counted
             constrained = variant in (Variant.LMD, Variant.LDIM_MS) and (
