@@ -41,7 +41,7 @@ class BoundReport:
     n: int
     lower: dict  # Variant -> best Bound
     lower_candidates: dict  # Variant -> tuple of all applicable Bounds
-    upper: dict  # Variant -> int (n-1 for the outer variants)
+    upper: dict  # Variant -> int (max(1, n-1) for the outer variants)
     certificates: tuple  # InfiniteCertificate, ...
     skipped: tuple  # human-readable notes for bounds skipped by caps
 
@@ -238,6 +238,7 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
             skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {chi_cap}")
     best = max(candidates, key=lambda b: b.value)
     lower = {Variant.LMD: best, Variant.LDIM_MS: best}
+    upper = max(1, g.n - 1)  # K_1 still needs one landmark
     return BoundReport(
         n=g.n,
         lower=lower,
@@ -245,7 +246,7 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
             Variant.LMD: tuple(candidates),
             Variant.LDIM_MS: tuple(candidates),
         },
-        upper={Variant.DIM_MS: g.n - 1, Variant.LDIM_MS: g.n - 1},
+        upper={Variant.DIM_MS: upper, Variant.LDIM_MS: upper},
         certificates=tuple(infinite_certificates(g, cap=omega_cap)),
         skipped=tuple(skipped),
     )

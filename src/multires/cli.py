@@ -137,12 +137,12 @@ def cmd_verify(args):
     unknown = [t for t in ids if t not in THEOREMS]
     if unknown:
         raise MultiresError(f"unknown theorem ids {unknown}; known: {sorted(THEOREMS)}")
-    params = {"jobs": args.jobs}
+    params = {}
     if args.n_max is not None:
+        # checked here, not in the corpus, because most theorems use no corpus
+        if args.n_max < 1:
+            raise GraphValidationError(f"verify needs n_max >= 1, got {args.n_max}")
         params["n_max"] = args.n_max
-    # checked here, not in the corpus, because most theorems use no corpus
-    if min(params.values()) < 1:
-        raise GraphValidationError(f"verify needs n_max and jobs >= 1, got {params}")
     checks = [run_theorem(tid, **params) for tid in ids]
     payload = [c.to_json_dict() for c in checks]
     lines = []
@@ -232,10 +232,6 @@ def build_parser():
     p.add_argument(
         "--theorem", action="append",
         help="theorem id (repeatable; default: all)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the exhaustive corpus",
     )
     p.add_argument(
         "--n-max", type=int, default=None,

@@ -338,3 +338,108 @@ def all_connected(n):
         g = graph_from_mask(n, mask)
         if g.is_connected():
             yield g
+
+
+def _refine(nbrs, colours):
+    """Colour refinement to the coarsest equitable partition finer than `colours`.
+
+    A vertex's new colour is the rank of (its colour, the multiset of its
+    neighbours' colours, packed into one integer); ranks keep the order of
+    the old colours, so the result is an ordered partition that depends on
+    the labels only through `colours`. Colours come back as 0..k-1.
+    """
+    n = len(nbrs)
+    width = n.bit_length()  # fewer than n neighbours per colour, and n < 2**width
+    cells = len(set(colours))
+    while True:
+        if cells == n:  # discrete, hence equitable
+            rank = {c: i for i, c in enumerate(sorted(colours))}
+            return [rank[c] for c in colours]
+        weight = [1 << width * c for c in colours]
+        sigs = [
+            (colours[v], sum(map(weight.__getitem__, nbrs[v]))) for v in range(n)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colours = [rank[sig] for sig in sigs]
+        if len(rank) == cells:
+            return colours
+        cells = len(rank)
+
+
+def canonical_form(g):
+    """(least leaf code, every automorphism of g) by individualization-refinement.
+
+    The search refines colours to an equitable partition, individualizes
+    each vertex of the first cell with more than one vertex in turn, and
+    refines again, down to discrete partitions (McKay & Piperno 2014,
+    "Practical graph isomorphism, II"). Each leaf orders the vertices, and
+    its code is the edge set under that order as a bitmask. Every step is
+    label-invariant, so isomorphic graphs share the least code. Nothing is
+    pruned, and two leaves share a code exactly when an automorphism maps
+    one to the other, so the leaves reaching the least code give Aut(g),
+    each automorphism once, as a tuple of vertex images.
+    """
+    n = g.n
+    nbrs = [tuple(g.adj[v]) for v in range(n)]
+    bit = [[0] * n for _ in range(n)]  # bit[a][b]: the pair of leaf positions a, b
+    for i, (a, b) in enumerate(combinations(range(n), 2)):
+        bit[a][b] = bit[b][a] = 1 << i
+    best, leaves = None, []
+    stack = [_refine(nbrs, [0] * n)]
+    while stack:
+        colours = stack.pop()
+        sizes = [0] * n
+        for c in colours:
+            sizes[c] += 1
+        target = next((c for c in range(n) if sizes[c] > 1), None)
+        if target is None:
+            code = sum(bit[colours[u]][colours[v]] for u, v in g.edges)
+            if best is None or code < best:
+                best, leaves = code, [colours]
+            elif code == best:
+                leaves.append(colours)
+            continue
+        for v in range(n):
+            if colours[v] == target:
+                split = [2 * c + (u != v) for u, c in enumerate(colours)]
+                stack.append(_refine(nbrs, split))
+    at = [0] * n  # at[position] = the vertex the first best leaf puts there
+    for v, c in enumerate(leaves[0]):
+        at[c] = v
+    return best, [tuple(at[c] for c in colours) for colours in leaves]
+
+
+def connected_classes(n_max):
+    """One connected graph per isomorphism class, n = 1..n_max, with |Aut|.
+
+    Yields (graph, automorphism count) in order of n. The classes on n
+    vertices come from those on n-1: vertex n-1 is added with every
+    nonempty neighbourhood and the results are deduplicated by the code of
+    canonical_form. Every connected graph has a vertex whose removal leaves
+    it connected, so every class is reached. Neighbourhoods that an
+    automorphism of the smaller graph maps onto each other give isomorphic
+    graphs, so only the first of each orbit is tried (McKay 1998,
+    "Isomorph-free exhaustive generation"). Each class keeps the first
+    graph that reached it, so the order and labels are deterministic.
+    """
+    if n_max < 1:
+        raise GraphValidationError("connected_classes needs n_max >= 1")
+    layer = [(Graph(1, ()), [(0,)])]
+    yield layer[0][0], 1
+    for n in range(2, n_max + 1):
+        seen = set()
+        nxt = []
+        for h, automorphisms in layer:
+            tried = set()
+            for mask in range(1, 1 << (n - 1)):
+                if mask in tried:
+                    continue
+                nbhd = [u for u in range(n - 1) if mask >> u & 1]
+                tried.update(sum(1 << p[u] for u in nbhd) for p in automorphisms)
+                g = Graph(n, h.edges + tuple((u, n - 1) for u in nbhd))
+                code, aut = canonical_form(g)
+                if code not in seen:
+                    seen.add(code)
+                    nxt.append((g, aut))
+                    yield g, len(aut)
+        layer = nxt

@@ -10,7 +10,6 @@ NoClosedFormError.
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from multiprocessing import Pool
 
 from .bounds import (
     dms_extremal_check,
@@ -23,9 +22,9 @@ from .bounds import (
 from .errors import GraphValidationError, NoClosedFormError, NoLeaflessSubgraphError
 from .generators import (
     FamilySpec,
+    connected_classes,
     gen,
     gen_clique_gadget,
-    graph_from_mask,
     parse_family_spec,
 )
 from .graph import all_pairs_distances, bipartition, clique_number, two_core
@@ -568,6 +567,9 @@ def _examine_graph(g):
     for variant in (Variant.DIM, Variant.MD, Variant.DIM_MS):
         if level_lower_bound(g, variant) > val[variant]:
             failures.append(("counting_bound_le_exact", f"{desc} {variant.name}"))
+    for variant, upper in report.upper.items():
+        if upper < val[variant]:
+            failures.append(("upper_bound_ge_exact", f"{desc} {variant.name}"))
 
     try:
         core, vertices = two_core(g)
@@ -583,51 +585,27 @@ def _examine_graph(g):
     return failures
 
 
-def _scan_masks(args):
-    n, lo, hi = args
-    count = 0
-    failures = []
-    for mask in range(lo, hi):
-        g = graph_from_mask(n, mask)
-        if not g.is_connected():
-            continue
-        count += 1
-        failures.extend(_examine_graph(g))
-    return count, failures
-
-
 _CORPUS_CACHE = {}
 
 
-def corpus_scan(n_max=6, jobs=1):
-    """Check every corpus clause on all labeled connected graphs, n <= n_max.
+def corpus_scan(n_max=6):
+    """Check every corpus clause on all connected graphs with n <= n_max.
 
-    Returns (graph_count, failures) where failures is a list of
-    (clause, description) pairs; cached per n_max.
+    Every clause depends only on the isomorphism class, so each class is
+    examined once, and counted n!/|Aut| times: the count is that of the
+    labeled connected graphs on 0..n-1. Returns (graph_count, failures)
+    where failures is a list of (clause, description) pairs; cached per
+    n_max.
     """
-    if n_max < 1 or jobs < 1:
-        raise GraphValidationError(
-            f"corpus_scan needs n_max >= 1 and jobs >= 1, got {n_max} and {jobs}"
-        )
+    if n_max < 1:
+        raise GraphValidationError(f"corpus_scan needs n_max >= 1, got {n_max}")
     if n_max in _CORPUS_CACHE:
         return _CORPUS_CACHE[n_max]
     count = 0
     failures = []
-    for n in range(1, n_max + 1):
-        total = 1 << (n * (n - 1) // 2)
-        if jobs > 1 and total > 1 << 10:
-            chunk = (total + 4 * jobs - 1) // (4 * jobs)
-            tasks = [
-                (n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-            ]
-            with Pool(jobs) as pool:
-                for c, f in pool.imap(_scan_masks, tasks):
-                    count += c
-                    failures.extend(f)
-        else:
-            c, f = _scan_masks((n, 0, total))
-            count += c
-            failures.extend(f)
+    for g, automorphisms in connected_classes(n_max):
+        count += math.factorial(g.n) // automorphisms
+        failures.extend(_examine_graph(g))
     _CORPUS_CACHE[n_max] = (count, failures)
     return count, failures
 
@@ -635,8 +613,8 @@ def corpus_scan(n_max=6, jobs=1):
 def corpus_clauses(*clauses):
     """Build a check that no corpus graph fails any of the given clauses."""
 
-    def check_corpus(check, n_max=5, jobs=1, **_):
-        count, failures = corpus_scan(n_max, jobs)
+    def check_corpus(check, n_max=5, **_):
+        count, failures = corpus_scan(n_max)
         relevant = [f for f in failures if f[0] in clauses]
         check.add_flag(
             f"all connected graphs n<={n_max} ({count} graphs)",
@@ -670,7 +648,7 @@ THEOREMS = {
     "infmd": corpus_clauses("infmd_diam", "infmd_triple", "certificate_confirmed"),
     "dms_extremal": corpus_clauses("dms_extremal"),
     "lower_bounds": corpus_clauses(
-        "lower_bound_le_exact", "counting_bound_le_exact"
+        "lower_bound_le_exact", "counting_bound_le_exact", "upper_bound_ge_exact"
     ),
     "maxsubgraph": corpus_clauses("maxsubgraph_le"),
 }

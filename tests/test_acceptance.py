@@ -36,7 +36,7 @@ def report(number, name, ok):
 
 @pytest.fixture(scope="session")
 def corpus6():
-    return corpus_scan(6, jobs=4)
+    return corpus_scan(6)
 
 
 def solve(text, variant):

@@ -89,6 +89,14 @@ def test_lower_bounds_wheel():
     assert report.skipped == ()
 
 
+def test_upper_bounds_on_one_vertex():
+    # K_1 needs its one vertex as a landmark, so n - 1 = 0 is no upper bound
+    g = gen_path(1)
+    report = lower_bounds(g)
+    for variant in (Variant.DIM_MS, Variant.LDIM_MS):
+        assert report.upper[variant] == 1 == dimension(g, variant).value
+
+
 def test_lower_bounds_skips_above_caps_but_keeps_clique_log():
     g = gen_clique_gadget(8).graph  # 20 vertices, omega 8
     report = lower_bounds(g)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from multires.generators import (
     ALL_CONNECTED_CAP,
     FamilySpec,
     all_connected,
+    canonical_form,
+    connected_classes,
     gen,
     gen_amal,
     gen_clique_gadget,
@@ -14,14 +18,16 @@ from multires.generators import (
     gen_edge_amal,
     gen_join,
     gen_path,
+    gen_star,
     gen_unicyclic,
     gen_wheel,
     graph_from_mask,
     parse_family_spec,
 )
-from multires.graph import all_pairs_distances, clique_number
+from multires.graph import Graph, all_pairs_distances, clique_number
 from multires.multisets import Variant
 from multires.solver import certify
+from strategies import connected_graphs
 
 
 @pytest.mark.parametrize(
@@ -137,6 +143,90 @@ def test_all_connected_counts(n, count):
 def test_all_connected_cap():
     with pytest.raises(CapExceededError):
         next(all_connected(ALL_CONNECTED_CAP + 1))
+
+
+@pytest.fixture(scope="module")
+def classes7():
+    return list(connected_classes(7))
+
+
+def test_connected_class_counts(classes7):
+    # OEIS A001349 classes; A001187 labeled graphs, as sum n!/|Aut|
+    classes = [0] * 8
+    labeled = [0] * 8
+    for g, automorphisms in classes7:
+        assert g.is_connected()
+        classes[g.n] += 1
+        labeled[g.n] += math.factorial(g.n) // automorphisms
+    assert classes[1:] == [1, 1, 2, 6, 21, 112, 853]
+    assert labeled[1:] == [1, 1, 4, 38, 728, 26704, 1866256]
+
+
+def test_connected_classes_rejects_empty_range():
+    with pytest.raises(GraphValidationError):
+        next(connected_classes(0))
+
+
+def test_automorphisms_of_small_families():
+    assert canonical_form(gen_path(1)) == (0, [(0,)])
+    assert sorted(canonical_form(gen_path(4))[1]) == [(0, 1, 2, 3), (3, 2, 1, 0)]
+    assert len(canonical_form(gen_wheel(6))[1]) == 12  # dihedral group of the rim
+    assert len(canonical_form(gen_star(3))[1]) == 6
+    assert len(canonical_form(gen(FamilySpec("complete", (6,))))[1]) == 720
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(n_max=7), st.randoms(use_true_random=False))
+def test_canonical_form_is_label_invariant(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    code, automorphisms = canonical_form(g)
+    assert canonical_form(relabeled)[0] == code
+    assert len(set(automorphisms)) == len(automorphisms)
+    for p in automorphisms:
+        assert sorted(p) == list(range(g.n))
+        assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges]) == g
+
+
+def _to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_connected_classes_match_graph_atlas(classes7):
+    """One class per connected graph of the atlas (n <= 7), one to one."""
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        a for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)
+    ]  # entry 0 is the empty graph
+
+    def invariant(h):  # each vertex's degree and its neighbours' degrees
+        return str(sorted((h.degree(v), sorted(h.degree(u) for u in h[v])) for v in h))
+
+    unmatched = {}
+    for g, _ in classes7:
+        h = _to_networkx(nx, g)
+        unmatched.setdefault(invariant(h), []).append(h)
+    assert len(atlas) == len(classes7)
+    for a in atlas:
+        bucket = unmatched.get(invariant(a), [])
+        hits = [h for h in bucket if nx.is_isomorphic(a, h)]
+        assert len(hits) == 1, nx.to_graph6_bytes(a, header=False)
+        bucket.remove(hits[0])
+
+
+def test_automorphism_counts_match_graph_matcher(classes7):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for g, automorphisms in classes7:
+        if g.n > 6:
+            break
+        h = _to_networkx(nx, g)
+        assert automorphisms == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
 
 
 @settings(max_examples=50, deadline=None)

@@ -164,6 +164,13 @@ def test_corpus_scan_small():
     assert failures == []
 
 
+def test_corpus_scan_up_to_seven():
+    # 996 classes, counted as the labeled connected graphs with n <= 7
+    count, failures = corpus_scan(7)
+    assert count == 1893732
+    assert failures == []
+
+
 def test_corpus_backed_theorems_pass():
     for tid in (
         "observation_chain",
