@@ -14,7 +14,6 @@ from .bounds import (
     g_bound,
     infinite_certificates,
     lower_bounds,
-    maxsubgraph_bound,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -42,14 +41,14 @@ from .graph import (
     bipartition,
     chromatic_number,
     clique_number,
-    invariants,
+    distance_row,
     parse_edge_list,
     parse_graph6,
     to_edge_list,
     to_graph6,
     two_core,
 )
-from .multisets import Variant, representation, representation_multiset
+from .multisets import Variant
 from .solver import (
     INFINITE,
     Certificate,
@@ -103,21 +102,18 @@ __all__ = [
     "closed_form",
     "corpus_scan",
     "dimension",
+    "distance_row",
     "dms_extremal_check",
     "g_bound",
     "gen",
     "gen_clique_gadget",
     "graph_from_mask",
     "infinite_certificates",
-    "invariants",
     "lower_bounds",
-    "maxsubgraph_bound",
     "naive_all_dimensions",
     "parse_edge_list",
     "parse_family_spec",
     "parse_graph6",
-    "representation",
-    "representation_multiset",
     "run_all",
     "run_theorem",
     "solve_all",

@@ -15,7 +15,7 @@ from .graph import (
     chromatic_number,
     clique_number,
     k_end_structure,
-    two_core,
+    within_two_hops,
 )
 from .multisets import Variant
 
@@ -146,6 +146,10 @@ def clique_log_bound(omega):
     return (omega - 1).bit_length()
 
 
+def is_complete(g):
+    return len(g.edges) == g.n * (g.n - 1) // 2
+
+
 def is_path_graph(g):
     degs = sorted(g.degree(u) for u in range(g.n))
     if g.n == 1:
@@ -170,16 +174,19 @@ def infinite_certificates(g, cap=OMEGA_CAP):
     diameter condition is false for them) or three vertices with the same
     open neighbourhood. LMD: a clique with three or more K-end vertices.
     """
-    dm = all_pairs_distances(g)
+    g.check_connected()
     certs = []
-    diam = dm.diameter
-    if diam <= 2 and not is_path_graph(g):
+    if within_two_hops(g) and not is_path_graph(g):
+        # at diameter 1 or 2, d(u, v) is the diameter exactly when u != v
+        # and u, v are adjacent iff the graph is complete
+        complete = is_complete(g)
         far = next(
             (u, v)
             for u in range(g.n)
             for v in range(g.n)
-            if dm.d[u][v] == diam
+            if u != v and (v in g.adj[u]) == complete
         )
+        diam = 1 if complete else 2
         certs.append(
             InfiniteCertificate(
                 Variant.MD,
@@ -216,9 +223,10 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
 
     Each candidate bound is computed only when its inputs fit the exact caps;
     skipped candidates are listed so callers can tell that the report is
-    partial rather than silently heuristic.
+    partial rather than silently heuristic. The distance matrix is built
+    only for the chromatic bound, so never above `chi_cap`.
     """
-    diam = all_pairs_distances(g).diameter
+    certificates = tuple(infinite_certificates(g, cap=omega_cap))
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None
@@ -230,9 +238,10 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     else:
         skipped.append(f"clique_log: n={g.n} exceeds omega cap {omega_cap}")
         skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {omega_cap}")
-    if diam >= 2:
+    if not is_complete(g):  # diameter >= 2
         if g.n <= chi_cap:
             chi = chromatic_number(g, cap=chi_cap)
+            diam = all_pairs_distances(g).diameter
             candidates.append(Bound(g_bound(diam, chi), "chromatic_gdchi"))
         else:
             skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {chi_cap}")
@@ -247,7 +256,7 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
             Variant.LDIM_MS: tuple(candidates),
         },
         upper={Variant.DIM_MS: upper, Variant.LDIM_MS: upper},
-        certificates=tuple(infinite_certificates(g, cap=omega_cap)),
+        certificates=certificates,
         skipped=tuple(skipped),
     )
 
@@ -264,21 +273,3 @@ def dms_extremal_check(g, solved):
     extremal = solved.value == g.n - 1
     structural = is_regular(g) and all_pairs_distances(g).diameter <= 2
     return extremal == structural
-
-
-@dataclass(frozen=True)
-class MaxSubgraphBound:
-    """2-core H of g with the claims lmd(g) <= lmd(H), ldim_ms(g) <= ldim_ms(H)."""
-
-    core: object  # Graph
-    core_vertices: tuple
-    claimed_upper_for: tuple = (Variant.LMD, Variant.LDIM_MS)
-
-
-def maxsubgraph_bound(g):
-    """The leafless-core upper-bound claims, for verify to discharge exactly.
-
-    Raises NoLeaflessSubgraphError when g is a tree.
-    """
-    core, vertices = two_core(g)
-    return MaxSubgraphBound(core=core, core_vertices=vertices)

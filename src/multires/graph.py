@@ -4,11 +4,14 @@ Vertices are dense integers 0..n-1. Graphs are simple, undirected and, for
 every dimension computation, connected. All structures here are immutable
 after construction and safe to share between workers.
 
-Only this module builds distances and cliques, memoized for the most recent graph.
+Only this module builds distances and cliques, memoized for the most recent
+graph. The distance memo holds one BFS row per vertex, filled as rows are
+asked for: `distance_row` gives one of them, and `all_pairs_distances` fills
+them all. A call that needs the distances from a few landmarks builds only
+their rows; `within_two_hops` decides "diameter <= 2" with no BFS at all.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -120,20 +123,8 @@ class DistMatrix:
         self.d = d
         self.diameter = diameter
 
-    def eccentricity(self, w):
-        return max(self.d[w])
-
     def __repr__(self):
         return f"DistMatrix(n={self.n}, diameter={self.diameter})"
-
-
-@dataclass(frozen=True)
-class GraphInvariants:
-    diameter: int
-    omega: int
-    chi: int
-    bipartite: bool
-    two_coloring: tuple = None  # tuple of 0/1 per vertex when bipartite
 
 
 def parse_edge_list(text):
@@ -233,40 +224,64 @@ def to_edge_list(g):
     return "\n".join(f"{u} {v}" for u, v in g.edges)
 
 
+def _bfs(g, s):
+    """Hop counts from s to every vertex; -1 marks the vertices s cannot reach."""
+    adj = g.adj
+    dist = [-1] * g.n
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    return dist
+
+
+@lru_cache(maxsize=1)
+def _rows(g):
+    """The distance rows of the most recent graph, None until asked for."""
+    return [None] * g.n
+
+
+def distance_row(g, s):
+    """Tuple of d(s, v) for every v, memoized for the last graph.
+
+    A disconnected graph raises DisconnectedGraphError for 0 and the first
+    vertex unreachable from 0, whichever row was asked for.
+    """
+    rows = _rows(g)
+    row = rows[s]
+    if row is None:
+        dist = _bfs(g, s)
+        if -1 in dist:
+            g.check_connected()
+        row = rows[s] = tuple(dist)
+    return row
+
+
 @lru_cache(maxsize=1)
 def all_pairs_distances(g):
-    """BFS from every vertex, memoized for the last graph; errors if disconnected."""
-    n = g.n
+    """Every distance row, memoized for the last graph; errors if disconnected."""
+    rows = tuple(distance_row(g, s) for s in range(g.n))
+    return DistMatrix(g.n, rows, max(map(max, rows)))
+
+
+def within_two_hops(g):
+    """True iff every two non-adjacent vertices share a neighbour.
+
+    On a connected graph this is diameter <= 2. The scan stops at the first
+    pair with no common neighbour, and each pair costs at most
+    min(deg u, deg v), so it never costs more than all-pairs BFS.
+    """
     adj = g.adj
-    rows = []
-    diameter = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-        if -1 in dist:
-            raise DisconnectedGraphError(s, dist.index(-1))
-        rows.append(tuple(dist))
-        diameter = max(diameter, max(dist))
-    return DistMatrix(n, tuple(rows), diameter)
-
-
-def distance_layers(dm, w):
-    """Partition V into layers N_0..N_e(w) by distance from w."""
-    if not (0 <= w < dm.n):
-        raise GraphValidationError(f"vertex {w} out of range")
-    ecc = dm.eccentricity(w)
-    layers = [[] for _ in range(ecc + 1)]
-    for u in range(dm.n):
-        layers[dm.d[w][u]].append(u)
-    return [tuple(layer) for layer in layers]
+    return all(
+        v in adj[u] or not adj[u].isdisjoint(adj[v])
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
 
 
 def bipartition(g):
@@ -348,24 +363,6 @@ def chromatic_number(g, cap=CHI_CAP):
         if feasible(0, 0):
             return k
     return g.n
-
-
-def invariants(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
-    """Exact classical invariants: diameter, omega, chi, bipartiteness."""
-    diameter = all_pairs_distances(g).diameter
-    coloring = bipartition(g)
-    omega = clique_number(g, cap=omega_cap)
-    if coloring is not None:
-        chi = 1 if not g.edges else 2
-    else:
-        chi = chromatic_number(g, cap=chi_cap)
-    return GraphInvariants(
-        diameter=diameter,
-        omega=omega,
-        chi=chi,
-        bipartite=coloring is not None,
-        two_coloring=coloring,
-    )
 
 
 def two_core(g):

@@ -2,13 +2,15 @@
 
 Each dimension variant combines a representation kind (ordered vector or
 sorted multiset) with a scope (which vertex pairs must be distinguished).
+The predicates read only the landmarks' distance rows, never the whole
+distance matrix.
 """
 
 from enum import Enum
 from itertools import combinations
 
 from .errors import GraphValidationError
-from .graph import all_pairs_distances
+from .graph import distance_row
 
 
 class Variant(Enum):
@@ -43,30 +45,15 @@ class Variant(Enum):
             raise GraphValidationError(f"unknown variant {name!r}") from None
 
 
-def representation(dm, u, landmarks):
-    """Ordered distance vector r(u|W) for a landmark list W."""
-    if not landmarks:
-        raise GraphValidationError("landmark set must be non-empty")
-    return tuple(dm.d[u][w] for w in landmarks)
+def vertex_keys(rows, kind):
+    """Per-vertex representation keys from the landmarks' distance rows.
 
-
-def representation_multiset(dm, u, landmark_set):
-    """Canonical sorted distance bag m(u|W)."""
-    if not landmark_set:
-        raise GraphValidationError("landmark set must be non-empty")
-    return tuple(sorted(dm.d[u][w] for w in landmark_set))
-
-
-def vertex_keys(dm, landmarks, kind):
-    """Per-vertex representation keys for all vertices at once.
-
-    `landmarks` must be sorted ascending; for the vector kind this fixes the
+    rows[i][u] is d(u, w_i). For the vector kind the row order fixes the
     landmark order (resolvability is order-invariant).
     """
-    rows = dm.d
     if kind == "vector":
-        return [tuple(rows[u][w] for w in landmarks) for u in range(dm.n)]
-    return [tuple(sorted(rows[u][w] for w in landmarks)) for u in range(dm.n)]
+        return list(zip(*rows))
+    return [tuple(sorted(dists)) for dists in zip(*rows)]
 
 
 def scope_pairs(g, W, scope):
@@ -94,13 +81,28 @@ def _check_W(g, W):
 
 def is_resolving(g, W, variant):
     """True iff every pair in the variant's scope has distinct keys."""
-    _check_W(g, W)
-    keys = vertex_keys(all_pairs_distances(g), sorted(W), variant.kind)
-    return all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant.scope))
+    return not violating_pairs(g, W, variant)
 
 
 def violating_pairs(g, W, variant):
-    """All in-scope pairs with equal representations; empty iff resolving."""
+    """All in-scope pairs with equal representations, sorted; empty iff resolving.
+
+    The all and outer scopes group their vertices by key: the pairs inside
+    each group, sorted, are those a scan of `scope_pairs` would find.
+    """
     _check_W(g, W)
-    keys = vertex_keys(all_pairs_distances(g), sorted(W), variant.kind)
-    return [(u, v) for u, v in scope_pairs(g, W, variant.scope) if keys[u] == keys[v]]
+    keys = vertex_keys([distance_row(g, w) for w in sorted(W)], variant.kind)
+    scope = variant.scope
+    if scope in ("adjacent", "adjacent_outer"):
+        return [(u, v) for u, v in scope_pairs(g, W, scope) if keys[u] == keys[v]]
+    Wset = set(W) if scope == "outer" else ()
+    groups = {}
+    for u, key in enumerate(keys):
+        if u not in Wset:
+            groups.setdefault(key, []).append(u)
+    return sorted(
+        pair
+        for group in groups.values()
+        if len(group) > 1
+        for pair in combinations(group, 2)
+    )

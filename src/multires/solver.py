@@ -330,7 +330,8 @@ def naive_all_dimensions(g, variants=None):
             keys_by_kind = {}
             for variant in list(pending):
                 if variant.kind not in keys_by_kind:
-                    keys_by_kind[variant.kind] = vertex_keys(dm, W, variant.kind)
+                    rows = [dm.d[w] for w in W]
+                    keys_by_kind[variant.kind] = vertex_keys(rows, variant.kind)
                 keys = keys_by_kind[variant.kind]
                 if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant.scope)):
                     found[variant] = DimensionResult(

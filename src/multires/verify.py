@@ -585,7 +585,7 @@ def _examine_graph(g):
     return failures
 
 
-_CORPUS_CACHE = {}
+_CORPUS_CACHE = {}  # n -> (labeled count, failures) of the classes on n vertices
 
 
 def corpus_scan(n_max=6):
@@ -594,20 +594,22 @@ def corpus_scan(n_max=6):
     Every clause depends only on the isomorphism class, so each class is
     examined once, and counted n!/|Aut| times: the count is that of the
     labeled connected graphs on 0..n-1. Returns (graph_count, failures)
-    where failures is a list of (clause, description) pairs; cached per
-    n_max.
+    where failures is a list of (clause, description) pairs in order of n.
+    Results are cached per vertex count, so a larger n_max examines only the
+    classes on the vertex counts not seen before.
     """
     if n_max < 1:
         raise GraphValidationError(f"corpus_scan needs n_max >= 1, got {n_max}")
-    if n_max in _CORPUS_CACHE:
-        return _CORPUS_CACHE[n_max]
-    count = 0
-    failures = []
-    for g, automorphisms in connected_classes(n_max):
-        count += math.factorial(g.n) // automorphisms
-        failures.extend(_examine_graph(g))
-    _CORPUS_CACHE[n_max] = (count, failures)
-    return count, failures
+    sizes = range(1, n_max + 1)
+    if any(n not in _CORPUS_CACHE for n in sizes):
+        counts, failures = {}, {}
+        for g, automorphisms in connected_classes(n_max):
+            if g.n not in _CORPUS_CACHE:
+                counts[g.n] = counts.get(g.n, 0) + math.factorial(g.n) // automorphisms
+                failures.setdefault(g.n, []).extend(_examine_graph(g))
+        _CORPUS_CACHE.update((n, (counts[n], failures[n])) for n in counts)
+    count = sum(_CORPUS_CACHE[n][0] for n in sizes)
+    return count, [f for n in sizes for f in _CORPUS_CACHE[n][1]]
 
 
 def corpus_clauses(*clauses):

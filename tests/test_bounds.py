@@ -11,10 +11,8 @@ from multires.bounds import (
     is_regular,
     level_lower_bound,
     lower_bounds,
-    maxsubgraph_bound,
     same_neighborhood_triples,
 )
-from multires.errors import NoLeaflessSubgraphError
 from multires.generators import (
     gen_clique_gadget,
     gen_complete,
@@ -173,17 +171,6 @@ def test_dms_extremal_check():
 def test_is_regular():
     assert is_regular(gen_cycle(5))
     assert not is_regular(gen_wheel(5))
-
-
-def test_maxsubgraph_bound():
-    g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-    claim = maxsubgraph_bound(g)
-    assert claim.core_vertices == (0, 1, 2)
-    assert claim.claimed_upper_for == (Variant.LMD, Variant.LDIM_MS)
-    for variant in claim.claimed_upper_for:
-        assert dimension(g, variant).value <= dimension(claim.core, variant).value
-    with pytest.raises(NoLeaflessSubgraphError):
-        maxsubgraph_bound(gen_path(5))
 
 
 def test_bound_report_serialization():

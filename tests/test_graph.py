@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from multires.bounds import lower_bounds
+from multires import graph
+from multires.bounds import infinite_certificates, lower_bounds
 from multires.errors import (
     CapExceededError,
     DisconnectedGraphError,
@@ -17,8 +18,7 @@ from multires.graph import (
     bipartition,
     chromatic_number,
     clique_number,
-    distance_layers,
-    invariants,
+    distance_row,
     k_end_structure,
     maximal_cliques,
     parse_edge_list,
@@ -26,8 +26,9 @@ from multires.graph import (
     to_edge_list,
     to_graph6,
     two_core,
+    within_two_hops,
 )
-from multires.multisets import Variant
+from multires.multisets import Variant, is_resolving
 from multires.solver import certify, solve_all
 
 from strategies import connected_graphs
@@ -96,8 +97,6 @@ def test_distances_path():
     dm = all_pairs_distances(gen_path(5))
     assert dm.d[0][4] == 4
     assert dm.diameter == 4
-    assert dm.eccentricity(2) == 2
-    assert distance_layers(dm, 0) == [(0,), (1,), (2,), (3,), (4,)]
 
 
 @pytest.mark.parametrize(
@@ -157,11 +156,6 @@ def test_chromatic_number(g, chi):
     assert chromatic_number(g) == chi
 
 
-def test_invariants_wheel():
-    inv = invariants(gen_wheel(6))
-    assert (inv.diameter, inv.omega, inv.chi, inv.bipartite) == (2, 3, 3, False)
-
-
 def test_two_core_strips_pendants():
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     core, kept = two_core(g)
@@ -184,6 +178,7 @@ def test_k_end_structure():
 
 def _clear_memos():
     all_pairs_distances.cache_clear()
+    graph._rows.cache_clear()
     _maximal_cliques.cache_clear()
 
 
@@ -194,13 +189,36 @@ def test_solve_all_builds_distances_and_cliques_once():
     assert _maximal_cliques.cache_info().misses == 1
 
 
-def test_lower_bounds_then_certify_builds_one_matrix():
-    g = gen_wheel(30)
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """Clear the memos; the returned list collects the source of every BFS."""
     _clear_memos()
+    sources = []
+    bfs = graph._bfs
+
+    def counting_bfs(g, s):
+        sources.append(s)
+        return bfs(g, s)
+
+    monkeypatch.setattr(graph, "_bfs", counting_bfs)
+    return sources
+
+
+def test_lower_bounds_then_certify_build_no_matrix(bfs_sources):
+    g = gen_wheel(30)
     lower_bounds(g)
     for variant in Variant:
         certify(g, (0, 1, 2), variant)
-    assert all_pairs_distances.cache_info().misses == 1
+    assert all_pairs_distances.cache_info().misses == 0
+    assert sorted(bfs_sources) == [0, 1, 2]
+
+
+def test_distance_rows_are_shared_with_the_matrix(bfs_sources):
+    g = gen_cycle(7)
+    assert distance_row(g, 3) == (3, 2, 1, 0, 1, 2, 3)
+    dm = all_pairs_distances(g)
+    assert dm.d[3] is distance_row(g, 3)
+    assert sorted(bfs_sources) == list(range(7))
 
 
 def test_clique_cap_is_checked_on_a_memo_hit():
@@ -221,3 +239,52 @@ def test_equal_graphs_get_equal_distances():
     b = Graph(4, [(2, 3), (1, 2), (0, 1)])
     assert a is not b and a == b
     assert all_pairs_distances(a).d == all_pairs_distances(b).d
+
+
+DISCONNECTED = Graph(5, [(0, 1), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: distance_row(g, 3),
+        lower_bounds,
+        infinite_certificates,
+        lambda g: certify(g, (3,), Variant.MD),
+        lambda g: is_resolving(g, (3,), Variant.LDIM),
+    ],
+    ids=["row", "lower_bounds", "certificates", "certify", "is_resolving"],
+)
+def test_disconnected_graph_names_the_first_vertex_unreachable_from_0(call):
+    _clear_memos()
+    message = "no path between vertices 0 and 2"
+    with pytest.raises(DisconnectedGraphError, match=message):
+        call(DISCONNECTED)
+
+
+# --- the two-hop test: diameter <= 2 without distances ------------------------
+
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        (gen_complete(1), True),
+        (gen_complete(2), True),
+        (gen_path(3), True),
+        (gen_cycle(5), True),
+        (gen_wheel(7), True),
+        (parse_graph6("IheA@GUAo"), True),  # Petersen
+        (gen_path(4), False),
+        (gen_cycle(6), False),
+    ],
+    ids=["k1", "k2", "p3", "c5", "wheel", "petersen", "p4", "c6"],
+)
+def test_within_two_hops_named_graphs(g, expected):
+    assert within_two_hops(g) == expected
+    assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(n_max=8))
+def test_within_two_hops_is_diameter_at_most_two(g):
+    assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2)

@@ -8,9 +8,8 @@ from multires.graph import all_pairs_distances
 from multires.multisets import (
     Variant,
     is_resolving,
-    representation,
-    representation_multiset,
     scope_pairs,
+    vertex_keys,
     violating_pairs,
 )
 
@@ -31,16 +30,6 @@ def test_variant_finiteness():
         assert v.always_finite
 
 
-def test_representation_vector_vs_multiset():
-    dm = all_pairs_distances(gen_path(4))
-    assert representation(dm, 0, (3, 1)) == (3, 1)
-    assert representation_multiset(dm, 0, {3, 1}) == (1, 3)
-    with pytest.raises(GraphValidationError):
-        representation(dm, 0, ())
-    with pytest.raises(GraphValidationError):
-        representation_multiset(dm, 0, set())
-
-
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(n_max=6), st.data())
 def test_multiset_is_order_insensitive_and_idempotent(g, data):
@@ -53,10 +42,18 @@ def test_multiset_is_order_insensitive_and_idempotent(g, data):
             unique=True,
         )
     )
-    u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-    bag = representation_multiset(dm, u, W)
-    assert bag == representation_multiset(dm, u, reversed(W))
-    assert bag == tuple(sorted(bag))
+    rows = [dm.d[w] for w in W]
+    bags = vertex_keys(rows, "multiset")
+    assert bags == vertex_keys(rows[::-1], "multiset")
+    for u, bag in enumerate(bags):
+        assert bag == tuple(sorted(bag))
+        assert bag == tuple(sorted(dm.d[u][w] for w in W))
+
+
+def test_vertex_keys_vector_follows_row_order():
+    dm = all_pairs_distances(gen_path(4))
+    assert vertex_keys([dm.d[3], dm.d[1]], "vector")[0] == (3, 1)
+    assert vertex_keys([dm.d[3], dm.d[1]], "multiset")[0] == (1, 3)
 
 
 def test_scope_pairs():
@@ -105,3 +102,31 @@ def test_vector_resolving_implies_multiset_scope_containment(g):
         assert is_resolving(g, W, Variant.DIM)
     if is_resolving(g, W, Variant.DIM):
         assert is_resolving(g, W, Variant.LDIM)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(n_max=8), st.data())
+def test_violating_pairs_match_the_definition(g, data):
+    """The same pairs, in the same order, as a scan of scope_pairs."""
+    dm = all_pairs_distances(g)
+    W = tuple(
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=g.n - 1),
+                min_size=1,
+                max_size=g.n,
+                unique=True,
+            )
+        )
+    )
+    for variant in Variant:
+        if variant.kind == "vector":
+            keys = [tuple(dm.d[u][w] for w in sorted(W)) for u in range(g.n)]
+        else:
+            keys = [tuple(sorted(dm.d[u][w] for w in W)) for u in range(g.n)]
+        want = [
+            (u, v) for u, v in scope_pairs(g, W, variant.scope) if keys[u] == keys[v]
+        ]
+        got = violating_pairs(g, W, variant)
+        assert got == want
+        assert is_resolving(g, W, variant) == (not got)

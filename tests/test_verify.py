@@ -1,5 +1,6 @@
 import pytest
 
+from multires import verify
 from multires.errors import NoClosedFormError
 from multires.generators import gen, parse_family_spec
 from multires.multisets import Variant
@@ -161,6 +162,23 @@ def test_wheel_lemma_outer_variant_fails_on_odd_wheels():
 def test_corpus_scan_small():
     count, failures = corpus_scan(4)
     assert count == 1 + 1 + 4 + 38
+    assert failures == []
+
+
+def test_corpus_scan_examines_only_the_new_vertex_count(monkeypatch):
+    corpus_scan(6)
+    monkeypatch.delitem(verify._CORPUS_CACHE, 7, raising=False)
+    examined = []
+    examine = verify._examine_graph
+
+    def counting_examine(g):
+        examined.append(g.n)
+        return examine(g)
+
+    monkeypatch.setattr(verify, "_examine_graph", counting_examine)
+    count, failures = corpus_scan(7)
+    assert len(examined) == 853 and set(examined) == {7}
+    assert count == 1893732
     assert failures == []
 
 
