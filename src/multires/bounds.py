@@ -6,6 +6,7 @@ search, and let the verification harness cross-check exact values.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import (
     CHI_CAP,
@@ -167,12 +168,17 @@ def same_neighborhood_triples(g):
     return [tuple(vs) for vs in groups.values() if len(vs) >= 3]
 
 
+@lru_cache(maxsize=1)
 def infinite_certificates(g, cap=OMEGA_CAP):
-    """Structural proofs of infiniteness for MD and LMD.
+    """Structural proofs of infiniteness for MD and LMD, as a tuple.
 
     MD: diameter <= 2 (paths excepted: md(P_2) = md(P_3) = 1, so the raw
     diameter condition is false for them) or three vertices with the same
     open neighbourhood. LMD: a clique with three or more K-end vertices.
+
+    Memoized for the most recent graph and cap, like the memos of `graph`,
+    so the MD and LMD solves of one graph derive them once. A disconnected
+    graph raises on every call: `lru_cache` keeps no exceptions.
     """
     g.check_connected()
     certs = []
@@ -215,7 +221,7 @@ def infinite_certificates(g, cap=OMEGA_CAP):
                         f"clique {clique} has {len(ends)} K-end vertices",
                     )
                 )
-    return certs
+    return tuple(certs)
 
 
 def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
@@ -226,7 +232,7 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     partial rather than silently heuristic. The distance matrix is built
     only for the chromatic bound, so never above `chi_cap`.
     """
-    certificates = tuple(infinite_certificates(g, cap=omega_cap))
+    certificates = infinite_certificates(g, cap=omega_cap)
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None

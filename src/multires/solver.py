@@ -12,21 +12,48 @@ The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
 4A, 7.2.1.3). Each landmark w has a precomputed column, and a subset's value
 is its prefix's value extended by the column of its last landmark, so a
-subset costs O(n) integer operations instead of n sorted keys:
+subset costs O(n) integer operations (a fixed number of big-integer ones for
+the vector kinds and the adjacent scopes) instead of n sorted keys:
 
 - multiset kinds: the key of u is the sum over w in W of (n+1)**d(u, w),
   equal for two vertices iff their distance multisets are equal. For the
   outer scopes, w's own entry in its column is a distinct negative sentinel,
   which takes W's vertices out of every comparison. The all and outer scopes
   keep one key per vertex and test that the n keys are distinct; the
-  adjacent scopes keep one key difference per edge and test that none is 0.
+  adjacent scopes keep one key difference per edge, packed into one integer
+  (below), and test that none is 0.
 - vector kinds: column w is a bitmask of the in-scope pairs (all pairs for
   DIM, the edges for LDIM) that w separates; W resolves iff the OR of its
   columns has every bit set.
 
+Adjacent multiset scopes (LMD, LDIM_MS), one integer per subset. Edge i of
+`g.edges` owns the L-bit lane [L*i, L*(i+1)). Lane i of column w holds
+key_w(u) - key_w(v) + bias for the edge (u, v), where `bias` exceeds every
+|key difference|: for LMD an edge's ends differ by at most 1 in distance, so
+|diff| <= n*(n+1)**(D-1) < (n+1)**D = bias; for LDIM_MS the sentinel
+entries give |diff| <= n*top + n + 1 < (n+1)**(D+2) = bias, with
+top = (n+1)**(D+1) (D the diameter). A lane of one column lies in
+[1, 2*bias), so a lane of a sum of k <= n columns lies in [k, 2k*bias), and
+L = (2*n*bias).bit_length() + 1 keeps every lane below 2**(L-1): sums and
+XORs never carry into the next lane, and every lane's top bit stays clear.
+Column w is sum over u of key_w(u) * E[u] + bias*low, where the incidence
+integer E[u] holds +1 in the lanes of the edges (u, v), -1 in those of
+(v, u), and low has a 1 in every lane. At level k the subset's key
+difference on edge i is 0 iff lane i of acc + col equals k*bias, that is iff
+lane i of y = (acc + col) ^ k*bias*low is 0. W resolves iff
+(y - low) & high == 0, with high = low << (L-1), the lanes' top bits. The
+test is exact (the zero-lane test of Mycroft; Warren, "Hacker's Delight",
+6-1): a borrow can start only at a zero lane. If no lane is 0, every lane is
+at least 1, subtracting low borrows nowhere, and each lane y_i - 1 < 2**(L-1)
+has its top bit clear. If some lane is 0, the lanes below the lowest zero
+lane are at least 1 and lend it no borrow, so it becomes 2**L - 1, whose
+top bit is set. (The general form (y - low) & ~y & high allows lanes with
+their top bit set; the spare bit of L makes ~y & high = high.)
+
 The order, the constraint filter at each leaf and the budget count are
 those of a plain loop over `itertools.combinations`, so witnesses and
-`subsets_checked` are the same.
+`subsets_checked` are the same. The filter reads the subset as a bitmask:
+W passes iff |W & vertices| lies in [at_least, at_most] for each constraint.
 
 Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
 DIM_MS, counting the representations a vertex can have, with D the
@@ -44,7 +71,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, or_
+from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
@@ -179,30 +206,45 @@ def _first_resolving(g, variant, constraints, budget):
     else:
         # key(u) = sum over w in W of (n+1)**d(u, w): its base-(n+1) digits
         # count the landmarks at each distance from u, and no count exceeds n
-        cols = [[(n + 1) ** d for d in row] for row in dm.d]
+        powers = [(n + 1) ** d for d in range(dm.diameter + 1)]
+        keys = [list(map(powers.__getitem__, row)) for row in dm.d]
         if scope in ("outer", "adjacent_outer"):
             # a landmark's own entry is a sentinel: `top` exceeds every key,
             # so the key of w in W lies in [-(w+1)*top, -w*top), below every
             # key outside W and apart from the other landmarks' keys
             top = (n + 1) ** (dm.diameter + 1)
-            for w, col in enumerate(cols):
-                col[w] = -(w + 1) * top
+            for w, row in enumerate(keys):
+                row[w] = -(w + 1) * top
         if scope in ("all", "outer"):
+            cols, empty = keys, [0] * n
+
+            def extend(acc, col):
+                return list(map(add, acc, col))
 
             def resolves(acc, col):
                 return len(set(map(add, acc, col))) == n
 
         else:
-            # one entry per edge: the difference of its ends' keys
-            cols = [[col[u] - col[v] for u, v in edges] for col in cols]
+            # lane i (L bits) of column w holds the key difference of edge i
+            # plus `bias`; `bias` exceeds every difference (module docstring)
+            bias = (n + 1) ** (dm.diameter + (2 if scope == "adjacent_outer" else 0))
+            L = (2 * n * bias).bit_length() + 1
+            E = [0] * n  # E[u]: +1 in the lanes of the edges (u, v), -1 in (v, u)
+            for i, (u, v) in enumerate(edges):
+                lane = 1 << L * i
+                E[u] += lane
+                E[v] -= lane
+            low = ((1 << L * len(edges)) - 1) // ((1 << L) - 1)  # 1 in every lane
+            high = low << (L - 1)  # every lane's top bit
+            cols = [sum(map(mul, row, E), bias * low) for row in keys]
+            targets = [k * bias * low for k in range(n + 1)]
+            empty, extend = 0, add
 
             def resolves(acc, col):
-                return all(map(add, acc, col))
-
-        empty = [0] * len(cols[0])
-
-        def extend(acc, col):
-            return list(map(add, acc, col))
+                # k is the level being searched: a lane of y is 0 iff its
+                # edge's key difference is 0
+                y = (acc + col) ^ targets[k]
+                return (y - low) & high == 0
 
     limit = math.inf if budget is None else budget
     # no subset of a level below k_min resolves; only the constraint-free
@@ -211,41 +253,42 @@ def _first_resolving(g, variant, constraints, budget):
     examined = sum(math.comb(n, k) for k in range(1, k_min))
     if examined > limit:
         raise BudgetExhaustedError(budget, budget)
+    # W passes iff |W & vertices| is in [at_least, at_most] for every constraint
+    rules = [
+        (
+            sum(1 << v for v in c.vertices),
+            c.at_least,
+            n if c.at_most is None else c.at_most,
+        )
+        for c in constraints
+    ]
 
     def search(first, depth, prefix, acc):
+        # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
         if depth > 1:
             for w in range(first, n - depth + 1):
-                found = search(w + 1, depth - 1, prefix + (w,), extend(acc, cols[w]))
+                found = search(w + 1, depth - 1, prefix | 1 << w, extend(acc, cols[w]))
                 if found:
                     return found
             return None
         for w in range(first, n):
-            if constraints and not _passes(constraints, prefix + (w,)):
+            if rules and not all(
+                lo <= ((prefix | 1 << w) & vs).bit_count() <= hi for vs, lo, hi in rules
+            ):
                 continue
             if examined >= limit:
                 raise BudgetExhaustedError(examined, budget)
             examined += 1
             if resolves(acc, cols[w]):
-                return prefix + (w,)
+                return prefix | 1 << w
         return None
 
     for k in range(k_min, n + 1):
-        W = search(0, k, (), empty)
+        W = search(0, k, 0, empty)
         if W:
-            return W, examined
+            return tuple(w for w in range(n) if W >> w & 1), examined
     return None, examined
-
-
-def _passes(constraints, W):
-    s = set(W)
-    for c in constraints:
-        hit = len(s.intersection(c.vertices))
-        if hit < c.at_least:
-            return False
-        if c.at_most is not None and hit > c.at_most:
-            return False
-    return True
 
 
 def _elapsed_ms(t0):

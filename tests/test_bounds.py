@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from multires import bounds
 from multires.bounds import (
     clique_log_bound,
     dms_extremal_check,
@@ -13,6 +14,7 @@ from multires.bounds import (
     lower_bounds,
     same_neighborhood_triples,
 )
+from multires.errors import DisconnectedGraphError
 from multires.generators import (
     gen_clique_gadget,
     gen_complete,
@@ -23,7 +25,7 @@ from multires.generators import (
 )
 from multires.graph import Graph
 from multires.multisets import Variant
-from multires.solver import dimension
+from multires.solver import dimension, solve_all
 
 
 def test_g_bound_definition():
@@ -65,11 +67,33 @@ def test_same_neighborhood_triples():
 
 
 def test_infinite_certificates_exclude_paths():
-    assert infinite_certificates(gen_path(3)) == []
+    assert infinite_certificates(gen_path(3)) == ()
     kinds = {c.kind for c in infinite_certificates(gen_star(3))}
     assert kinds == {"diam_le_2", "triple_open_neighborhood"}
     kinds = {c.kind for c in infinite_certificates(gen_complete(4))}
     assert "triple_k_end" in kinds
+
+
+def test_solve_all_derives_the_certificates_once(monkeypatch):
+    # the MD and LMD solves share one memoized call
+    infinite_certificates.cache_clear()
+    calls = []
+    two_hops = bounds.within_two_hops
+
+    def counting(g):
+        calls.append(g)
+        return two_hops(g)
+
+    monkeypatch.setattr(bounds, "within_two_hops", counting)
+    solve_all(gen_wheel(8))
+    assert len(calls) == 1
+
+
+def test_certificates_of_a_disconnected_graph_raise_every_time():
+    g = Graph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError):
+            infinite_certificates(g)
 
 
 def test_certificates_confirmed_by_solver():

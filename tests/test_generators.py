@@ -145,11 +145,6 @@ def test_all_connected_cap():
         next(all_connected(ALL_CONNECTED_CAP + 1))
 
 
-@pytest.fixture(scope="module")
-def classes7():
-    return list(connected_classes(7))
-
-
 def test_connected_class_counts(classes7):
     # OEIS A001349 classes; A001187 labeled graphs, as sum n!/|Aut|
     classes = [0] * 8

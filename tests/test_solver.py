@@ -1,6 +1,7 @@
 import math
 import multiprocessing.process
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,14 @@ from multires.errors import (
     GraphValidationError,
 )
 from multires.generators import (
+    gen_clique_gadget,
     gen_complete,
     gen_cycle,
     gen_path,
     gen_star,
     gen_wheel,
 )
-from multires.graph import Graph
+from multires.graph import Graph, all_pairs_distances
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
@@ -270,6 +272,80 @@ def test_kernel_matches_naive_witnesses_and_counts():
                 assert got.subsets_checked == want.subsets_checked, where
                 counted += 1
     assert counted == 2558
+
+
+def _plain_count(g, constraints, last):
+    """Subsets that pass every constraint, read as sets, in the solver's
+    order (k, then lexicographic), up to and including `last` (all if None)."""
+    count = 0
+    for k in range(1, g.n + 1):
+        for W in combinations(range(g.n), k):
+            hits = [len(set(W) & set(c.vertices)) for c in constraints]
+            if all(
+                c.at_least <= hit and (c.at_most is None or hit <= c.at_most)
+                for c, hit in zip(constraints, hits)
+            ):
+                count += 1
+            if W == last:
+                return count
+    return count
+
+
+def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
+    constrained = 0
+    for g, _ in classes7:
+        if g.n > 6:
+            break
+        naive = naive_all_dimensions(g)
+        for variant in Variant:
+            got, want = dimension(g, variant), naive[variant]
+            where = (variant, g.edges)
+            assert (got.value, got.witness) == (want.value, want.witness), where
+            if not got.subsets_checked:  # a structural certificate answered
+                assert got.is_infinite and got.certificate, where
+                continue
+            constraints = []
+            if variant in (Variant.LMD, Variant.LDIM_MS):
+                constraints = required_vertices(g, variant)
+            if constraints:
+                want_count = _plain_count(g, constraints, got.witness)
+                constrained += 1
+            else:
+                want_count = want.subsets_checked
+            assert got.subsets_checked == want_count, where
+    assert constrained == 56
+
+
+def test_widest_lanes_at_the_cap_match_naive():
+    # gadget:8 has n = 20 at the solver cap and diameter 10
+    g = gen_clique_gadget(8).graph
+    assert (g.n, all_pairs_distances(g).diameter) == (20, 10)
+    naive = naive_all_dimensions(g, [Variant.LMD, Variant.LDIM_MS])
+    for variant, want in naive.items():
+        got = dimension(g, variant)
+        assert (got.value, got.witness) == (want.value, want.witness), variant
+
+
+def test_longest_exhaustion_matches_naive(classes7):
+    # the infinite-LMD class that only exhaustion proves, of largest
+    # diameter: its search runs to k = n, where every lane sums n columns
+    exhausted = []
+    for g, _ in classes7:
+        r = dimension(g, Variant.LMD)
+        if r.is_infinite and r.subsets_checked:
+            exhausted.append((all_pairs_distances(g).diameter, g))
+    assert len(exhausted) == 96
+    diameter, g = max(exhausted, key=lambda entry: entry[0])
+    assert (g.n, diameter) == (7, 4)
+    got = dimension(g, Variant.LMD)
+    want = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
+    assert got.subsets_checked == 2**g.n - 1
+    assert (got.value, got.witness, got.subsets_checked, got.certificate) == (
+        want.value,
+        want.witness,
+        want.subsets_checked,
+        want.certificate,
+    )
 
 
 @pytest.mark.parametrize(
