@@ -15,6 +15,7 @@ from .graph import (
     bipartition,
     chromatic_number,
     clique_number,
+    distance_row,
     k_end_structure,
     within_two_hops,
 )
@@ -178,9 +179,11 @@ def infinite_certificates(g, cap=OMEGA_CAP):
 
     Memoized for the most recent graph and cap, like the memos of `graph`,
     so the MD and LMD solves of one graph derive them once. A disconnected
-    graph raises on every call: `lru_cache` keeps no exceptions.
+    graph raises on every call: `lru_cache` keeps no exceptions. The
+    connectivity check is the memoized BFS row of vertex 0, which
+    `bipartition` and the distance matrix share.
     """
-    g.check_connected()
+    distance_row(g, 0)
     certs = []
     if within_two_hops(g) and not is_path_graph(g):
         # at diameter 1 or 2, d(u, v) is the diameter exactly when u != v

@@ -2,13 +2,15 @@
 
 Vertices are dense integers 0..n-1. Graphs are simple, undirected and, for
 every dimension computation, connected. All structures here are immutable
-after construction and safe to share between workers.
+after construction.
 
 Only this module builds distances and cliques, memoized for the most recent
 graph. The distance memo holds one BFS row per vertex, filled as rows are
 asked for: `distance_row` gives one of them, and `all_pairs_distances` fills
 them all. A call that needs the distances from a few landmarks builds only
 their rows; `within_two_hops` decides "diameter <= 2" with no BFS at all.
+`_bfs` is the one breadth-first search: connectivity reads its row of
+vertex 0, and `bipartition` the parity of that memoized row.
 """
 
 from collections import deque
@@ -64,29 +66,13 @@ class Graph:
         return len(self.adj[u])
 
     def is_connected(self):
-        return self._unreached() is None
+        return -1 not in _bfs(self, 0)
 
     def check_connected(self):
-        """Raise DisconnectedGraphError naming two unreachable vertices."""
-        far = self._unreached()
-        if far is not None:
-            raise DisconnectedGraphError(0, far)
-
-    def _unreached(self):
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        if count == self.n:
-            return None
-        return next(v for v in range(self.n) if not seen[v])
+        """Raise DisconnectedGraphError for 0 and the first vertex it cannot reach."""
+        dist = _bfs(self, 0)
+        if -1 in dist:
+            raise DisconnectedGraphError(0, dist.index(-1))
 
     def induced(self, vertices):
         """Induced subgraph on `vertices`, relabeled 0..len(vertices)-1.
@@ -199,10 +185,13 @@ def parse_graph6(text):
 
 
 def to_graph6(g):
-    """Encode a Graph as a one-line graph6 string (n <= 62)."""
+    """Encode a Graph as a one-line graph6 string (n <= 258047).
+
+    n <= 62 is one byte; larger n is '~' and then n in three 6-bit bytes.
+    """
     n = g.n
-    if n > 62:
-        raise GraphValidationError("graph6 encoder supports n <= 62")
+    if n > 258047:
+        raise GraphValidationError("graph6 encoder supports n <= 258047")
     bits = []
     adj = g.adj
     for v in range(1, n):
@@ -210,7 +199,8 @@ def to_graph6(g):
             bits.append(1 if u in adj[v] else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(n + 63)]
+    header = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    out = [chr(b + 63) for b in header]
     for i in range(0, len(bits), 6):
         b = 0
         for bit in bits[i : i + 6]:
@@ -285,19 +275,15 @@ def within_two_hops(g):
 
 
 def bipartition(g):
-    """BFS 2-coloring; returns a tuple of colors or None if non-bipartite."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    return tuple(color)
+    """2-coloring by the parity of d(0, v); None if non-bipartite.
+
+    The ends of an edge differ by at most 1 in distance from 0, so they have
+    equal parity exactly when they are equally far. Errors if disconnected.
+    """
+    row = distance_row(g, 0)
+    if any(row[u] == row[v] for u, v in g.edges):
+        return None
+    return tuple(d & 1 for d in row)
 
 
 def maximal_cliques(g, cap=OMEGA_CAP):
@@ -335,10 +321,8 @@ def chromatic_number(g, cap=CHI_CAP):
     """Exact chromatic number by backtracking k-colorability, k ascending from omega."""
     if g.n > cap:
         raise CapExceededError("chromatic number", g.n, cap)
-    if not g.edges:
-        return 1
     if bipartition(g) is not None:
-        return 2
+        return 2 if g.edges else 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
     adj = g.adj
     for k in range(max(clique_number(g, cap), 3), g.n + 1):

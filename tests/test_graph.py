@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 
@@ -91,6 +93,22 @@ def test_graph6_header_and_errors():
 @given(connected_graphs(n_max=7))
 def test_graph6_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
+
+
+def test_graph6_above_62_vertices_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    g = gen_wheel(100)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    line = to_graph6(g)
+    assert line.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+    assert parse_graph6(line) == g
+
+
+def test_graph6_encoder_rejects_n_above_the_four_byte_header():
+    with pytest.raises(GraphValidationError, match="n <= 258047"):
+        to_graph6(SimpleNamespace(n=258048))
 
 
 def test_distances_path():
@@ -207,6 +225,7 @@ def bfs_sources(monkeypatch):
 def test_lower_bounds_then_certify_build_no_matrix(bfs_sources):
     g = gen_wheel(30)
     lower_bounds(g)
+    assert bfs_sources == [0]  # connectivity and bipartition share row 0
     for variant in Variant:
         certify(g, (0, 1, 2), variant)
     assert all_pairs_distances.cache_info().misses == 0
@@ -252,8 +271,13 @@ DISCONNECTED = Graph(5, [(0, 1), (2, 3), (3, 4)])
         infinite_certificates,
         lambda g: certify(g, (3,), Variant.MD),
         lambda g: is_resolving(g, (3,), Variant.LDIM),
+        bipartition,
+        chromatic_number,
     ],
-    ids=["row", "lower_bounds", "certificates", "certify", "is_resolving"],
+    ids=[
+        "row", "lower_bounds", "certificates", "certify", "is_resolving",
+        "bipartition", "chromatic_number",
+    ],
 )
 def test_disconnected_graph_names_the_first_vertex_unreachable_from_0(call):
     _clear_memos()

@@ -165,9 +165,16 @@ def test_corpus_scan_small():
     assert failures == []
 
 
-def test_corpus_scan_examines_only_the_new_vertex_count(monkeypatch):
+def test_corpus_scan_examines_only_the_new_vertex_count(monkeypatch, classes7):
     corpus_scan(6)
     monkeypatch.delitem(verify._CORPUS_CACHE, 7, raising=False)
+    # the session fixture already holds the classes; building them again
+    # would take about a second
+    monkeypatch.setattr(
+        verify,
+        "connected_classes",
+        lambda n_max: (c for c in classes7 if c[0].n <= n_max),
+    )
     examined = []
     examine = verify._examine_graph
 
