@@ -6,28 +6,19 @@ additionally demonstrates the refuting instance, so every divergence is
 visible in the suite rather than silently absorbed.
 """
 
-import random
-
 import pytest
 
 from multires.generators import gen, gen_clique_gadget, parse_family_spec
 from multires.graph import clique_number
 from multires.multisets import Variant
-from multires.solver import (
-    INFINITE,
-    certify,
-    dimension,
-    naive_all_dimensions,
-    required_vertices,
-)
-from multires.bounds import level_lower_bound, lower_bounds
+from multires.solver import INFINITE, certify, dimension
+from multires.bounds import lower_bounds
 from multires.verify import (
     closed_form,
     corpus_scan,
     run_theorem,
     wheel_path_structure,
 )
-from strategies import random_connected_graph
 
 
 def report(number, name, ok, detail=""):
@@ -128,31 +119,10 @@ def test_criterion_8_bound_algebra():
     report(8, "bound algebra", check.passed)
 
 
-def test_criterion_9_solver_self_consistency():
+def test_criterion_9_solver_self_consistency(oracle_sweep):
     """The kernel against the naive oracle: values, witnesses, level lower
     bounds and subsets_checked counts on 500 random graphs."""
-    rng = random.Random(271828)
-    mismatches = []
-    counted = 0
-    for _ in range(500):
-        g = random_connected_graph(rng, n_max=8)
-        naive = naive_all_dimensions(g)
-        for variant in Variant:
-            got, want = dimension(g, variant), naive[variant]
-            where = (variant, g.edges)
-            if (got.value, got.witness) != (want.value, want.witness):
-                mismatches.append(("value or witness", where))
-            if level_lower_bound(g, variant) > want.value:
-                mismatches.append(("level_lower_bound", where))
-            # a K-end constraint skips subsets the oracle counts, and a
-            # certificate answers before any subset is counted
-            constrained = variant in (Variant.LMD, Variant.LDIM_MS) and (
-                required_vertices(g, variant)
-            )
-            if got.subsets_checked and not constrained:
-                if got.subsets_checked != want.subsets_checked:
-                    mismatches.append(("subsets_checked", where))
-                counted += 1
+    mismatches, counted = oracle_sweep
     report(
         9,
         "solver self-consistency",

@@ -251,6 +251,12 @@ def test_pruned_solver_matches_naive_on_random_graphs():
             assert dimension(g, variant).value == naive[variant].value, g.edges
 
 
+def test_kernel_matches_naive_witnesses_and_counts(oracle_sweep):
+    mismatches, counted = oracle_sweep
+    assert mismatches == []
+    assert counted == 2558
+
+
 def _plain_count(g, constraints, last):
     """Subsets that pass every constraint, read as sets, in the solver's
     order (k, then lexicographic), up to and including `last` (all if None)."""
