@@ -1,12 +1,16 @@
 """Exact dimension solver: cardinality-ordered subset search with pruning.
 
 Resolvability of the multiset variants is not monotone under adding
-landmarks, so there are no superset shortcuts: every subset of each
-cardinality is examined unless a theorem-backed constraint excludes it.
-Enumeration order is k = 1..n, subsets lexicographic within each k, and the
-first success is returned, which makes witnesses deterministic. The search
-is one lazy sequential loop; a subset budget counts the subsets that pass
-the constraints, in that order.
+landmarks, so there are no superset shortcuts. The answer is that of a
+plain loop over the subsets of each cardinality k = 1..n, lexicographic
+within each k, that skips the subsets a theorem-backed constraint excludes
+and returns the first subset that resolves; this makes witnesses
+deterministic. `subsets_checked` and the subset budget count the subsets
+that pass the constraints, in that order. The search visits only what it
+needs to give that answer and counts the rest by arithmetic: it skips the
+levels that a counting bound rules out, cuts a prefix as soon as the
+constraints can no longer be met, and decides an infinite LMD value by a
+membership search instead of visiting all 2^n - 1 subsets.
 
 The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
@@ -50,10 +54,54 @@ lane are at least 1 and lend it no borrow, so it becomes 2**L - 1, whose
 top bit is set. (The general form (y - low) & ~y & high allows lanes with
 their top bit set; the spare bit of L makes ~y & high = high.)
 
-The order, the constraint filter at each leaf and the budget count are
-those of a plain loop over `itertools.combinations`, so witnesses and
-`subsets_checked` are the same. The filter reads the subset as a bitmask:
-W passes iff |W & vertices| lies in [at_least, at_most] for each constraint.
+The order and the budget count are those of the plain loop, so witnesses
+and `subsets_checked` are the same. The constraints are read as rules
+(mask, at_least, at_most) on bitmasks, and one check,
+`_feasible(rules, chosen, first, slots)`, runs at every node of the search:
+can `chosen` grow by `slots` more vertices from first..n-1 into a set W
+with at_least <= |W & mask| <= at_most for every rule? It answers no when
+a rule's count already exceeds at_most, when a rule's shortfall below
+at_least exceeds the vertices of its class left at or after `first`, or
+when the shortfalls together exceed `slots`. Each condition is necessary
+because the classes are disjoint (a K-end vertex's closed neighbourhood is
+its clique, so it has one clique), so one more vertex lowers at most one
+shortfall by one. At a leaf, slots is 0 and the check is exactly the plain
+loop's filter; a cut prefix leads only to leaves the plain loop rejects and
+never counts, so pruning moves no count.
+
+Membership search (LMD). Many graphs have an infinite LMD that no
+certificate covers, and the level search proves it only by visiting every
+subset. `_membership_search` decides whether any W passing the rules
+resolves, by a depth-first walk over i = 0..n-1 that tries "take vertex i"
+before "skip it". For an edge (u, v), only W & D_uv moves its lane, where
+D_uv = {w : d(u, w) != d(v, w)}: every other landmark adds exactly `bias`.
+So the lane is final once vertices 0..dec are decided, where dec, the
+edge's decision vertex, is the last vertex of D_uv. The search builds its
+columns with the level kernel's builder, with the lanes sorted by decision
+vertex, so after vertex i is decided the decided lanes are the lowest ones.
+With j landmarks taken so far, a decided lane of their sum acc holds
+j*bias plus the edge's final key difference, so the level kernel's test
+for level j applies, under a prefix mask that keeps only the decided lanes'
+top bits: ((acc ^ j*bias*low) - low) & mask == 0. This is exact: a borrow
+moves only upward, the undecided lanes lie above the mask, so no borrow
+from them reaches a tested lane, and on the tested lanes it is the
+kernel's test. The rules prune with the same `_feasible` check, the
+vertices left being the slots.
+
+If no W resolves, the plain loop counts every nonempty subset that passes
+the rules, and the classes being disjoint that number is
+2^(vertices in no class) * prod over the rules of
+sum_{j=at_least}^{min(at_most, |class|)} C(|class|, j), less 1 when the
+empty set passes. The search returns it, or raises the plain loop's budget
+error (budget, budget) when it exceeds the budget. If some W resolves, the
+search discards it and the level search goes on unchanged, since the
+witness is the first resolving set in the plain loop's order. Finding the
+decision vertices scans n*|E| distance entries, so the membership search
+runs at most once, before the first level at which the level search has
+counted at least n*|E| subsets: a finite LMD found early never pays for
+it. On wheel:15 (n = 16) it runs before level 4, after 696 subsets, where
+the exhaustion visits 65 535. MD stays on exhaustion: its all-pairs scope
+has no packed columns to reuse.
 
 Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
 DIM_MS, counting the representations a vertex can have, with D the
@@ -71,6 +119,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from bisect import bisect_right
 from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
@@ -124,7 +173,6 @@ class Constraint:
     vertices: tuple
     at_least: int
     at_most: int  # None means unbounded
-    source: str
     derived_from_proof: bool = False
 
 
@@ -157,28 +205,127 @@ def required_vertices(g, variant, cap=SOLVER_CAP_DEFAULT):
     if variant not in (Variant.LMD, Variant.LDIM_MS):
         raise GraphValidationError("required_vertices applies to LMD and LDIM_MS only")
     out = []
-    for clique, ends in k_end_structure(g, cap):
+    for _, ends in k_end_structure(g, cap):
         t = len(ends)
         if variant is Variant.LMD and t == 2:
-            out.append(
-                Constraint(
-                    vertices=ends,
-                    at_least=1,
-                    at_most=1,
-                    source=f"K-end pair of clique {clique}",
-                )
-            )
+            out.append(Constraint(vertices=ends, at_least=1, at_most=1))
         elif variant is Variant.LDIM_MS and t >= 2:
             out.append(
                 Constraint(
                     vertices=ends,
                     at_least=t - 1,
                     at_most=None,
-                    source=f"K-end vertices of clique {clique}",
                     derived_from_proof=(t == 2),
                 )
             )
     return out
+
+
+def _rules(constraints, n):
+    """(mask, at_least, at_most) of each constraint, at_most n when unbounded."""
+    return [
+        (
+            sum(1 << v for v in c.vertices),
+            c.at_least,
+            n if c.at_most is None else c.at_most,
+        )
+        for c in constraints
+    ]
+
+
+def _feasible(rules, chosen, first, slots):
+    """Whether `chosen` plus `slots` more vertices from first..n-1 can pass
+    every rule (module docstring); at a leaf, with slots 0, whether it does."""
+    short = 0
+    for vs, lo, hi in rules:
+        have = (chosen & vs).bit_count()
+        if have > hi or lo - have > (vs >> first).bit_count():
+            return False
+        short += max(lo - have, 0)
+    return short <= slots
+
+
+def _passing_count(rules, n):
+    """The nonempty subsets of range(n) that pass the rules, whose classes
+    are disjoint (module docstring)."""
+    count = 2 ** (n - sum(vs.bit_count() for vs, _, _ in rules))
+    for vs, lo, hi in rules:
+        size = vs.bit_count()
+        count *= sum(math.comb(size, j) for j in range(lo, min(hi, size) + 1))
+    return count - all(lo == 0 for _, lo, _ in rules)
+
+
+def _key_rows(dm):
+    """key_w(u) = (n+1)**d(u, w) as row w: a landmark set's key of u is the
+    sum of its rows' entries at u, whose base-(n+1) digits count the
+    landmarks at each distance from u (no count exceeds n)."""
+    powers = [(dm.n + 1) ** d for d in range(dm.diameter + 1)]
+    return [list(map(powers.__getitem__, row)) for row in dm.d]
+
+
+def _packed_columns(keys, edges, bias):
+    """(cols, low, L): lane i (L bits) of column w holds
+    keys[w][u] - keys[w][v] + bias for edges[i] = (u, v), and low has a 1
+    in every lane; `bias` exceeds every difference (module docstring)."""
+    n = len(keys)
+    L = (2 * n * bias).bit_length() + 1
+    E = [0] * n  # E[u]: +1 in the lanes of the edges (u, v), -1 in (v, u)
+    for i, (u, v) in enumerate(edges):
+        lane = 1 << L * i
+        E[u] += lane
+        E[v] -= lane
+    low = ((1 << L * len(edges)) - 1) // ((1 << L) - 1)
+    return [sum(map(mul, row, E), bias * low) for row in keys], low, L
+
+
+def _membership_search(g, constraints):
+    """Whether some landmark set that passes the constraints resolves g for
+    LMD, by a take-before-skip search over the vertices (module docstring).
+
+    Returns (W, count): W a resolving set as a sorted tuple, or None when
+    none exists, and count the nonempty subsets that pass the constraints,
+    which is what an exhaustion counts.
+    """
+    dm = all_pairs_distances(g)
+    n, d = g.n, dm.d
+    rules = _rules(constraints, n)
+    # dm.d[w][u] is d(u, w); once its decision vertex is decided, an edge's
+    # lane is final
+    decision = {
+        (u, v): max(w for w, row in enumerate(d) if row[u] != row[v])
+        for u, v in g.edges
+    }
+    edges = sorted(g.edges, key=decision.__getitem__)
+    bias = (n + 1) ** dm.diameter
+    cols, low, L = _packed_columns(_key_rows(dm), edges, bias)
+    targets = [j * bias * low for j in range(n + 1)]
+    # masks[i]: the top bits of the lanes decided once vertices 0..i are
+    decided = [decision[e] for e in edges]
+    masks = [
+        (low & ((1 << L * bisect_right(decided, i)) - 1)) << (L - 1)
+        for i in range(n)
+    ]
+
+    def search(i, chosen, j, acc):
+        # vertices 0..i-1 are decided; `chosen` holds the j taken, and acc
+        # is the sum of their columns
+        if i == n:
+            return chosen
+        take = (chosen | 1 << i, j + 1, acc + cols[i])
+        for chosen_, j_, acc_ in (take, (chosen, j, acc)):
+            if rules and not _feasible(rules, chosen_, i + 1, n - i - 1):
+                continue
+            if ((acc_ ^ targets[j_]) - low) & masks[i]:
+                continue
+            found = search(i + 1, chosen_, j_, acc_)
+            if found is not None:
+                return found
+        return None
+
+    W = search(0, 0, 0, 0)
+    if W is not None:
+        W = tuple(w for w in range(n) if W >> w & 1)
+    return W, _passing_count(rules, n)
 
 
 def _first_resolving(g, variant, constraints, budget):
@@ -204,10 +351,7 @@ def _first_resolving(g, variant, constraints, budget):
             return acc | col == full
 
     else:
-        # key(u) = sum over w in W of (n+1)**d(u, w): its base-(n+1) digits
-        # count the landmarks at each distance from u, and no count exceeds n
-        powers = [(n + 1) ** d for d in range(dm.diameter + 1)]
-        keys = [list(map(powers.__getitem__, row)) for row in dm.d]
+        keys = _key_rows(dm)
         if scope in ("outer", "adjacent_outer"):
             # a landmark's own entry is a sentinel: `top` exceeds every key,
             # so the key of w in W lies in [-(w+1)*top, -w*top), below every
@@ -225,18 +369,9 @@ def _first_resolving(g, variant, constraints, budget):
                 return len(set(map(add, acc, col))) == n
 
         else:
-            # lane i (L bits) of column w holds the key difference of edge i
-            # plus `bias`; `bias` exceeds every difference (module docstring)
             bias = (n + 1) ** (dm.diameter + (2 if scope == "adjacent_outer" else 0))
-            L = (2 * n * bias).bit_length() + 1
-            E = [0] * n  # E[u]: +1 in the lanes of the edges (u, v), -1 in (v, u)
-            for i, (u, v) in enumerate(edges):
-                lane = 1 << L * i
-                E[u] += lane
-                E[v] -= lane
-            low = ((1 << L * len(edges)) - 1) // ((1 << L) - 1)  # 1 in every lane
+            cols, low, L = _packed_columns(keys, edges, bias)
             high = low << (L - 1)  # every lane's top bit
-            cols = [sum(map(mul, row, E), bias * low) for row in keys]
             targets = [k * bias * low for k in range(n + 1)]
             empty, extend = 0, add
 
@@ -253,29 +388,22 @@ def _first_resolving(g, variant, constraints, budget):
     examined = sum(math.comb(n, k) for k in range(1, k_min))
     if examined > limit:
         raise BudgetExhaustedError(budget, budget)
-    # W passes iff |W & vertices| is in [at_least, at_most] for every constraint
-    rules = [
-        (
-            sum(1 << v for v in c.vertices),
-            c.at_least,
-            n if c.at_most is None else c.at_most,
-        )
-        for c in constraints
-    ]
+    rules = _rules(constraints, n)
 
     def search(first, depth, prefix, acc):
         # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
         if depth > 1:
             for w in range(first, n - depth + 1):
-                found = search(w + 1, depth - 1, prefix | 1 << w, extend(acc, cols[w]))
+                chosen = prefix | 1 << w
+                if rules and not _feasible(rules, chosen, w + 1, depth - 1):
+                    continue
+                found = search(w + 1, depth - 1, chosen, extend(acc, cols[w]))
                 if found:
                     return found
             return None
         for w in range(first, n):
-            if rules and not all(
-                lo <= ((prefix | 1 << w) & vs).bit_count() <= hi for vs, lo, hi in rules
-            ):
+            if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
                 continue
             if examined >= limit:
                 raise BudgetExhaustedError(examined, budget)
@@ -284,7 +412,15 @@ def _first_resolving(g, variant, constraints, budget):
                 return prefix | 1 << w
         return None
 
+    probe = variant is Variant.LMD
     for k in range(k_min, n + 1):
+        if probe and examined >= n * len(edges):
+            probe = False
+            W, count = _membership_search(g, constraints)
+            if W is None:
+                if count > limit:
+                    raise BudgetExhaustedError(budget, budget)
+                return None, count
         W = search(0, k, 0, empty)
         if W:
             return tuple(w for w in range(n) if W >> w & 1), examined

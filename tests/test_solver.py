@@ -1,13 +1,16 @@
+import inspect
 import math
 import multiprocessing.process
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multires import solver
+from multires import multisets, solver
+from multires.bounds import infinite_certificates
 from multires.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -21,7 +24,7 @@ from multires.generators import (
     gen_star,
     gen_wheel,
 )
-from multires.graph import Graph, all_pairs_distances
+from multires.graph import Graph, all_pairs_distances, parse_graph6
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
@@ -82,8 +85,8 @@ def test_infinite_results_carry_certificates():
 
 
 def test_exhaustion_without_shortcuts():
-    # C_5 has no LMD certificate and no K-end constraint: only the full scan
-    # settles that lmd(C_5) is infinite
+    # C_5 has no LMD certificate and no K-end constraint: only a search
+    # settles that lmd(C_5) is infinite, and it counts every subset
     r = dimension(gen_cycle(5), Variant.LMD)
     assert r.is_infinite
     assert r.certificate == "exhausted all 2^5 - 1 subsets"
@@ -309,9 +312,8 @@ def test_widest_lanes_at_the_cap_match_naive():
         assert (got.value, got.witness) == (want.value, want.witness), variant
 
 
-def test_longest_exhaustion_matches_naive(classes7):
-    # the infinite-LMD class that only exhaustion proves, of largest
-    # diameter: its search runs to k = n, where every lane sums n columns
+def test_longest_exhaustion_matches_naive(classes7, monkeypatch):
+    # the infinite-LMD class that only a search proves, of largest diameter
     exhausted = []
     for g, _ in classes7:
         r = dimension(g, Variant.LMD)
@@ -320,15 +322,102 @@ def test_longest_exhaustion_matches_naive(classes7):
     assert len(exhausted) == 96
     diameter, g = max(exhausted, key=lambda entry: entry[0])
     assert (g.n, diameter) == (7, 4)
-    got = dimension(g, Variant.LMD)
     want = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
-    assert got.subsets_checked == 2**g.n - 1
-    assert (got.value, got.witness, got.subsets_checked, got.certificate) == (
-        want.value,
-        want.witness,
-        want.subsets_checked,
-        want.certificate,
+    assert want.subsets_checked == 2**g.n - 1
+    want = (want.value, want.witness, want.subsets_checked, want.certificate)
+    got = dimension(g, Variant.LMD)  # the membership search answers
+    assert (got.value, got.witness, got.subsets_checked, got.certificate) == want
+    # made to find a W, the membership search leaves the level search to run
+    # to k = n, where every lane sums n columns
+    monkeypatch.setattr(solver, "_membership_search", lambda *args: ((0,), 0))
+    got = dimension(g, Variant.LMD)
+    assert (got.value, got.witness, got.subsets_checked, got.certificate) == want
+
+
+def test_membership_search_decides_every_class_up_to_7(classes7):
+    # every class whose LMD no certificate settles: a W found must pass
+    # certify(), and none found must be an infinite LMD by the oracle; the
+    # count is that of a plain loop over the subsets that pass the
+    # constraints (2^n - 1 when there are none)
+    unsat, sat = Counter(), 0
+    for g, _ in classes7:
+        if any(c.variant is Variant.LMD for c in infinite_certificates(g)):
+            continue
+        constraints = required_vertices(g, Variant.LMD)
+        W, count = solver._membership_search(g, constraints)
+        if constraints or W is None:
+            assert count == _plain_count(g, constraints, None), g.edges
+        else:
+            assert count == 2**g.n - 1, g.edges
+        if W is None:
+            unsat[g.n] += 1
+            naive = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
+            assert naive.is_infinite, g.edges
+        else:
+            sat += 1
+            assert certify(g, W, Variant.LMD).valid, (g.edges, W)
+    assert dict(unsat) == {5: 2, 6: 11, 7: 83}
+    assert sat == 865
+
+
+def test_membership_search_does_not_use_the_oracle_or_the_predicates(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the membership search called the oracle or a predicate")
+
+    monkeypatch.setattr(solver, "naive_all_dimensions", forbidden)
+    for module in (multisets, solver):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == multisets.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+    W, count = solver._membership_search(gen_wheel(15), [])
+    assert (W, count) == (None, 2**16 - 1)
+    W, _ = solver._membership_search(gen_wheel(8), [])
+    assert W is not None
+    monkeypatch.undo()
+    assert certify(gen_wheel(8), W, Variant.LMD).valid
+
+
+@pytest.fixture
+def membership_calls(monkeypatch):
+    """The results of every membership search that dimension() runs."""
+    calls = []
+    search = solver._membership_search
+
+    def counted(*args):
+        calls.append(search(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "_membership_search", counted)
+    return calls
+
+
+def test_budget_at_the_unsat_boundary_of_the_membership_search(membership_calls):
+    g = gen_wheel(15)  # n = 16: lmd is infinite, and no certificate says so
+    exact = dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=65535))
+    assert (exact.value, exact.subsets_checked) == (INFINITE, 65535)
+    assert exact.certificate == "exhausted all 2^16 - 1 subsets"
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=65534))
+    assert (info.value.examined, info.value.budget) == (65534, 65534)
+    assert membership_calls == [(None, 65535), (None, 65535)]
+
+
+def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
+    # one K-end pair (2, 4): of the 2^6 - 1 subsets, the 2^4 * 2 that hold
+    # exactly one of 2 and 4 are counted
+    g = parse_graph6("Eqiw")
+    assert [c.vertices for c in required_vertices(g, Variant.LMD)] == [(2, 4)]
+    full = dimension(g, Variant.LMD)
+    assert (full.value, full.subsets_checked) == (INFINITE, 32)
+    exact = dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=32))
+    assert (exact.value, exact.subsets_checked, exact.certificate) == (
+        INFINITE,
+        32,
+        full.certificate,
     )
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=31))
+    assert (info.value.examined, info.value.budget) == (31, 31)
 
 
 @pytest.mark.parametrize(
