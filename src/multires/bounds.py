@@ -16,7 +16,8 @@ from .graph import (
     chromatic_number,
     clique_number,
     distance_row,
-    k_end_structure,
+    k_end_groups,
+    twin_classes,
     within_two_hops,
 )
 from .multisets import Variant
@@ -161,21 +162,16 @@ def is_path_graph(g):
     return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:]) and g.is_connected()
 
 
-def same_neighborhood_triples(g):
-    """Groups of >= 3 vertices sharing one open neighbourhood."""
-    groups = {}
-    for u in range(g.n):
-        groups.setdefault(g.adj[u], []).append(u)
-    return [tuple(vs) for vs in groups.values() if len(vs) >= 3]
-
-
 @lru_cache(maxsize=1)
 def infinite_certificates(g, cap=OMEGA_CAP):
     """Structural proofs of infiniteness for MD and LMD, as a tuple.
 
     MD: diameter <= 2 (paths excepted: md(P_2) = md(P_3) = 1, so the raw
     diameter condition is false for them) or three vertices with the same
-    open neighbourhood. LMD: a clique with three or more K-end vertices.
+    open neighbourhood (`graph.twin_classes`). LMD: a clique with three or
+    more K-end vertices (`graph.k_end_groups`). Neither enumerates cliques,
+    but the LMD one is derived only for n <= cap; above it, `lower_bounds`
+    lists it as skipped.
 
     Memoized for the most recent graph and cap, like the memos of `graph`,
     so the MD and LMD solves of one graph derive them once. A disconnected
@@ -204,17 +200,18 @@ def infinite_certificates(g, cap=OMEGA_CAP):
                 f"diameter {diam} <= 2 and graph is not a path",
             )
         )
-    for triple in same_neighborhood_triples(g):
-        certs.append(
-            InfiniteCertificate(
-                Variant.MD,
-                "triple_open_neighborhood",
-                triple,
-                f"vertices {triple} share one open neighbourhood",
+    for triple in twin_classes(g).values():
+        if len(triple) >= 3:
+            certs.append(
+                InfiniteCertificate(
+                    Variant.MD,
+                    "triple_open_neighborhood",
+                    triple,
+                    f"vertices {triple} share one open neighbourhood",
+                )
             )
-        )
     if g.n <= cap:
-        for clique, ends in k_end_structure(g, cap):
+        for clique, ends in k_end_groups(g):
             if len(ends) >= 3:
                 certs.append(
                     InfiniteCertificate(

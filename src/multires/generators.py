@@ -94,10 +94,14 @@ def parse_family_spec(text):
     if tag == "unicyclic":
         head, slash, parents = rest.partition("/")
         nums = _ints(head, "cycle length")
+        _require(len(nums) == 1, f"unicyclic needs one cycle length, got {head!r}")
         if slash:
             nums += _ints(parents, "unicyclic parents")
         return FamilySpec("unicyclic", nums)
-    return FamilySpec(tag, _ints(rest, tag))
+    nums = _ints(rest, tag)
+    if len(nums) > 1 and tag not in ("amal", "edge_amal"):
+        raise GraphValidationError(f"family {tag!r} takes one number, got {rest!r}")
+    return FamilySpec(tag, nums)
 
 
 def _require(cond, message):

@@ -5,12 +5,15 @@ every dimension computation, connected. All structures here are immutable
 after construction.
 
 Only this module builds distances and cliques, memoized for the most recent
-graph. The distance memo holds one BFS row per vertex, filled as rows are
-asked for: `distance_row` gives one of them, and `all_pairs_distances` fills
-them all. A call that needs the distances from a few landmarks builds only
-their rows; `within_two_hops` decides "diameter <= 2" with no BFS at all.
-`_bfs` is the one breadth-first search: connectivity reads its row of
-vertex 0, and `bipartition` the parity of that memoized row.
+graph. The solver needs no cliques: `k_end_groups` reads the K-end vertices
+off the closed-twin classes that `twin_classes` finds by hashing, and
+`maximal_cliques` serves only `clique_number`. The distance memo holds one
+BFS row per vertex, filled as rows are asked for: `distance_row` gives one
+of them, and `all_pairs_distances` fills them all. A call that needs the
+distances from a few landmarks builds only their rows; `within_two_hops`
+decides "diameter <= 2" with no BFS at all. `_bfs` is the one
+breadth-first search: connectivity reads its row of vertex 0, and
+`bipartition` the parity of that memoized row.
 """
 
 from collections import deque
@@ -375,19 +378,22 @@ def two_core(g):
     return sub, mapping
 
 
-def k_end_structure(g, cap=OMEGA_CAP):
-    """K-end vertices per maximal clique of order >= 3.
+def twin_classes(g, closed=False):
+    """{N(u): vertices}, or {N[u]: vertices} if `closed`, for each class of
+    two or more vertices with that neighbourhood, found by hashing."""
+    classes = {}
+    for u, nbrs in enumerate(g.adj):
+        classes.setdefault(nbrs | {u} if closed else nbrs, []).append(u)
+    return {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
 
-    A vertex of a clique K_r is a K-end vertex when its degree in the whole
-    graph is r - 1, i.e. all of its neighbours lie inside the clique.
-    Returns a sorted list of (clique, k_end_vertices) tuples.
-    """
-    result = []
-    for clique in maximal_cliques(g, cap):
-        r = len(clique)
-        if r < 3:
-            continue
-        ends = tuple(sorted(u for u in clique if g.degree(u) == r - 1))
-        result.append((tuple(sorted(clique)), ends))
-    result.sort()
-    return result
+
+def k_end_groups(g):
+    """Sorted (clique, ends) for each clique of order >= 3 with two or more
+    K-end vertices, with no clique enumeration. u in K is a K-end vertex
+    when N[u] = K, so the ends of K are the closed-twin class whose N[u] is
+    K; such a K is maximal, since a vertex adjacent to all of it is in N[u]."""
+    return sorted(
+        (tuple(sorted(clique)), ends)
+        for clique, ends in twin_classes(g, closed=True).items()
+        if len(clique) >= 3 and all(clique - g.adj[w] == {w} for w in clique)
+    )

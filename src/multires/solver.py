@@ -63,11 +63,10 @@ with at_least <= |W & mask| <= at_most for every rule? It answers no when
 a rule's count already exceeds at_most, when a rule's shortfall below
 at_least exceeds the vertices of its class left at or after `first`, or
 when the shortfalls together exceed `slots`. Each condition is necessary
-because the classes are disjoint (a K-end vertex's closed neighbourhood is
-its clique, so it has one clique), so one more vertex lowers at most one
-shortfall by one. At a leaf, slots is 0 and the check is exactly the plain
-loop's filter; a cut prefix leads only to leaves the plain loop rejects and
-never counts, so pruning moves no count.
+because the classes are disjoint (each is a class of closed twins), so one
+more vertex lowers at most one shortfall by one. At a leaf, slots is 0 and
+the check is exactly the plain loop's filter; a cut prefix leads only to
+leaves the plain loop rejects and never counts, so pruning moves no count.
 
 Membership search (LMD). Many graphs have an infinite LMD that no
 certificate covers, and the level search proves it only by visiting every
@@ -124,7 +123,7 @@ from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
-from .graph import all_pairs_distances, k_end_structure
+from .graph import all_pairs_distances, k_end_groups
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
@@ -173,7 +172,6 @@ class Constraint:
     vertices: tuple
     at_least: int
     at_most: int  # None means unbounded
-    derived_from_proof: bool = False
 
 
 @dataclass(frozen=True)
@@ -192,32 +190,26 @@ class Certificate:
         }
 
 
-def required_vertices(g, variant, cap=SOLVER_CAP_DEFAULT):
-    """Theorem-backed membership constraints from K-end structure.
+def required_vertices(g, variant):
+    """Theorem-backed membership constraints from the K-end vertices.
 
-    LMD: a clique with two K-end vertices forces exactly one of them into
-    every resolving set (three or more make lmd infinite, and `dimension()`
+    The K-end vertices of a clique are adjacent closed twins, so they have
+    the same distance to every other vertex (`graph.k_end_groups`). LMD: a
+    clique with two K-end vertices forces exactly one of them into every
+    resolving set (three or more make lmd infinite, and `dimension()`
     returns the triple_k_end certificate before asking). LDIM_MS: all but
-    one of the K-end vertices must be inside; for exactly two K-end vertices
-    the constraint follows from a strictly stronger argument and is flagged
-    derived_from_proof.
+    one of the K-end vertices must be inside. Nothing here enumerates
+    cliques, so there is no cap.
     """
     if variant not in (Variant.LMD, Variant.LDIM_MS):
         raise GraphValidationError("required_vertices applies to LMD and LDIM_MS only")
     out = []
-    for _, ends in k_end_structure(g, cap):
+    for _, ends in k_end_groups(g):
         t = len(ends)
-        if variant is Variant.LMD and t == 2:
+        if variant is Variant.LDIM_MS:
+            out.append(Constraint(vertices=ends, at_least=t - 1, at_most=None))
+        elif t == 2:
             out.append(Constraint(vertices=ends, at_least=1, at_most=1))
-        elif variant is Variant.LDIM_MS and t >= 2:
-            out.append(
-                Constraint(
-                    vertices=ends,
-                    at_least=t - 1,
-                    at_most=None,
-                    derived_from_proof=(t == 2),
-                )
-            )
     return out
 
 
@@ -458,7 +450,7 @@ def dimension(g, variant, opts=None):
 
     constraints = []
     if variant in (Variant.LMD, Variant.LDIM_MS):
-        constraints = required_vertices(g, variant, cap=opts.cap)
+        constraints = required_vertices(g, variant)
 
     W, examined = _first_resolving(g, variant, constraints, budget)
     if W is not None:
@@ -549,5 +541,5 @@ def certify(g, W, variant):
 
 
 def solve_all(g, opts=None):
-    """dimension() for all six variants; graph.py memoizes distances and cliques."""
+    """dimension() for all six variants; graph.py memoizes the distances."""
     return {v: dimension(g, v, opts=opts) for v in Variant}

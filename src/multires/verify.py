@@ -17,7 +17,6 @@ from .bounds import (
     is_path_graph,
     level_lower_bound,
     lower_bounds,
-    same_neighborhood_triples,
 )
 from .errors import GraphValidationError, NoClosedFormError, NoLeaflessSubgraphError
 from .generators import (
@@ -27,7 +26,7 @@ from .generators import (
     gen_clique_gadget,
     parse_family_spec,
 )
-from .graph import all_pairs_distances, bipartition, clique_number, two_core
+from .graph import all_pairs_distances, bipartition, clique_number, twin_classes, two_core
 from .multisets import Variant, is_resolving
 from .solver import INFINITE, certify, dimension, naive_all_dimensions
 
@@ -549,7 +548,7 @@ def _examine_graph(g):
     md_inf = val[Variant.MD] == INFINITE
     if (all_pairs_distances(g).diameter <= 2 and not is_path_graph(g)) and not md_inf:
         failures.append(("infmd_diam", desc))
-    if same_neighborhood_triples(g) and not md_inf:
+    if not md_inf and any(len(vs) >= 3 for vs in twin_classes(g).values()):
         failures.append(("infmd_triple", desc))
     report = lower_bounds(g)
     for cert in report.certificates:

@@ -12,7 +12,6 @@ from multires.bounds import (
     is_regular,
     level_lower_bound,
     lower_bounds,
-    same_neighborhood_triples,
 )
 from multires.errors import DisconnectedGraphError
 from multires.generators import (
@@ -59,11 +58,6 @@ def test_is_path_graph():
     assert is_path_graph(gen_path(7))
     assert not is_path_graph(gen_cycle(4))
     assert not is_path_graph(gen_star(3))
-
-
-def test_same_neighborhood_triples():
-    assert same_neighborhood_triples(gen_star(3)) == [(1, 2, 3)]
-    assert same_neighborhood_triples(gen_cycle(5)) == []
 
 
 def test_infinite_certificates_exclude_paths():

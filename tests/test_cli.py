@@ -19,6 +19,25 @@ def test_gen_edges(capsys):
     assert out == "0 1\n0 3\n1 2\n2 3\n"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "path:2,3",
+        "cycle:4,5",
+        "complete:3,3",
+        "star:2,2",
+        "wheel:3,4",
+        "gadget:3,3",
+        "unicyclic:4,5/0",
+    ],
+)
+def test_gen_rejects_a_wrong_count_of_numbers(capsys, spec):
+    code, out, err = run(capsys, "gen", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_gen_graph6_round_trip(capsys):
     code, out, _ = run(capsys, "gen", "wheel:6", "--format", "graph6")
     assert code == 0

@@ -12,7 +12,15 @@ from multires.errors import (
     GraphValidationError,
     NoLeaflessSubgraphError,
 )
-from multires.generators import gen_complete, gen_cycle, gen_path, gen_star, gen_wheel
+from multires.generators import (
+    gen,
+    gen_complete,
+    gen_cycle,
+    gen_path,
+    gen_star,
+    gen_wheel,
+    parse_family_spec,
+)
 from multires.graph import (
     Graph,
     _maximal_cliques,
@@ -21,12 +29,13 @@ from multires.graph import (
     chromatic_number,
     clique_number,
     distance_row,
-    k_end_structure,
+    k_end_groups,
     maximal_cliques,
     parse_edge_list,
     parse_graph6,
     to_edge_list,
     to_graph6,
+    twin_classes,
     two_core,
     within_two_hops,
 )
@@ -183,12 +192,56 @@ def test_two_core_strips_pendants():
         two_core(gen_path(4))
 
 
-def test_k_end_structure():
-    # K_4 with one pendant vertex: three clique vertices keep degree 3
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-    structure = k_end_structure(g)
-    assert structure == [((0, 1, 2, 3), (0, 1, 2))]
-    assert k_end_structure(gen_cycle(6)) == []
+# --- twin classes, and the K-end groups read off them -----------------------
+
+# K_4 with one pendant vertex: three clique vertices keep degree 3
+K4_PENDANT = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+
+
+def test_twin_classes():
+    assert twin_classes(gen_star(3)) == {frozenset({0}): (1, 2, 3)}
+    assert twin_classes(gen_cycle(5)) == {}
+    assert twin_classes(gen_star(3), closed=True) == {}
+    assert twin_classes(K4_PENDANT, closed=True) == {frozenset(range(4)): (0, 1, 2)}
+    assert k_end_groups(K4_PENDANT) == [((0, 1, 2, 3), (0, 1, 2))]
+
+
+def _k_end_reference(g):
+    """The K-end groups by their definition: for each maximal clique of
+    order r >= 3, the vertices of degree r - 1, if there are two or more."""
+    groups = []
+    for clique in maximal_cliques(g):
+        r = len(clique)
+        ends = tuple(sorted(u for u in clique if g.degree(u) == r - 1))
+        if r >= 3 and len(ends) >= 2:
+            groups.append((tuple(sorted(clique)), ends))
+    return sorted(groups)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(K4_PENDANT, id="k4_pendant"), pytest.param(gen_cycle(6), id="cycle:6")]
+    + [
+        pytest.param(gen(parse_family_spec(spec)), id=spec)
+        for spec in (
+            "path:2",
+            "wheel:14",
+            "wheel:15",
+            "corona:path:5/2,2,2,2,2",
+            "gadget:8",
+            "cycle:16",
+            "amal:4,4,3",
+            "complete:20",
+        )
+    ],
+)
+def test_k_end_groups_match_the_definition(g):
+    assert k_end_groups(g) == _k_end_reference(g)
+
+
+def test_k_end_groups_match_the_definition_on_every_class_up_to_7(classes7):
+    mismatched = [g.edges for g, _ in classes7 if k_end_groups(g) != _k_end_reference(g)]
+    assert mismatched == []
 
 
 # --- the per-graph memo: distances and cliques are built once per graph -----
@@ -202,8 +255,11 @@ def _clear_memos():
 
 def test_solve_all_builds_distances_and_cliques_once():
     _clear_memos()
-    solve_all(gen_wheel(8))
+    g = gen_wheel(8)
+    solve_all(g)
     assert all_pairs_distances.cache_info().misses == 1
+    assert _maximal_cliques.cache_info().misses == 0  # the solver needs none
+    lower_bounds(g)
     assert _maximal_cliques.cache_info().misses == 1
 
 

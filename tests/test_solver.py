@@ -17,12 +17,14 @@ from multires.errors import (
     GraphValidationError,
 )
 from multires.generators import (
+    gen,
     gen_clique_gadget,
     gen_complete,
     gen_cycle,
     gen_path,
     gen_star,
     gen_wheel,
+    parse_family_spec,
 )
 from multires.graph import Graph, all_pairs_distances, parse_graph6
 from multires.multisets import Variant, is_resolving
@@ -189,10 +191,23 @@ def test_required_vertices_ldim_ms_flags_derived_case():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     entries = required_vertices(g, Variant.LDIM_MS)
     assert all(e.at_least == 1 and e.at_most is None for e in entries)
-    assert all(e.derived_from_proof for e in entries)
     big = required_vertices(gen_complete(5), Variant.LDIM_MS)
     assert big[0].at_least == 4
-    assert not big[0].derived_from_proof
+
+
+def test_required_vertices_need_no_cap_above_20():
+    # n = 22: seven K_4 share vertex 0, and each keeps three K-end vertices
+    g = gen(parse_family_spec("amal:4,4,4,4,4,4,4"))
+    entries = required_vertices(g, Variant.LDIM_MS)
+    assert len(entries) == 7
+    assert all(len(e.vertices) == 3 and e.at_least == 2 for e in entries)
+
+
+def test_triple_k_end_certificate_above_20():
+    g = gen(parse_family_spec("amal:4,4,4,4,4,4,4"))
+    r = dimension(g, Variant.LMD, SolverOptions(cap=25))
+    assert r.certificate.startswith("triple_k_end")
+    assert (r.value, r.subsets_checked) == (INFINITE, 0)
 
 
 def test_parallel_shards_match_sequential():
