@@ -13,6 +13,7 @@ from .bounds import lower_bounds
 from .errors import (
     BudgetExhaustedError,
     CapExceededError,
+    GraphParseError,
     GraphValidationError,
     MultiresError,
 )
@@ -42,11 +43,14 @@ def _read_graph(args):
     if getattr(args, "gen", None):
         return gen(parse_family_spec(args.gen))
     source = getattr(args, "graph", None)
-    if source is None or source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+    try:
+        if source is None or source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8 text ({exc.reason})") from None
     if args.format == "graph6":
         return parse_graph6((text.strip().splitlines() or [""])[0])
     return parse_edge_list(text)

@@ -387,13 +387,16 @@ def twin_classes(g, closed=False):
     return {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
 
 
+@lru_cache(maxsize=1)
 def k_end_groups(g):
     """Sorted (clique, ends) for each clique of order >= 3 with two or more
     K-end vertices, with no clique enumeration. u in K is a K-end vertex
     when N[u] = K, so the ends of K are the closed-twin class whose N[u] is
     K; such a K is maximal, since a vertex adjacent to all of it is in N[u]."""
-    return sorted(
-        (tuple(sorted(clique)), ends)
-        for clique, ends in twin_classes(g, closed=True).items()
-        if len(clique) >= 3 and all(clique - g.adj[w] == {w} for w in clique)
+    return tuple(
+        sorted(
+            (tuple(sorted(clique)), ends)
+            for clique, ends in twin_classes(g, closed=True).items()
+            if len(clique) >= 3 and all(clique - g.adj[w] == {w} for w in clique)
+        )
     )

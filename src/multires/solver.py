@@ -16,34 +16,34 @@ The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
 4A, 7.2.1.3). Each landmark w has a precomputed column, and a subset's value
 is its prefix's value extended by the column of its last landmark, so a
-subset costs O(n) integer operations (a fixed number of big-integer ones for
-the vector kinds and the adjacent scopes) instead of n sorted keys:
+subset costs one big-integer add or OR and one test instead of n sorted
+keys. The pairs in scope are all pairs for DIM, MD and DIM_MS, and the
+edges for LDIM, LMD and LDIM_MS.
 
 - multiset kinds: the key of u is the sum over w in W of (n+1)**d(u, w),
   equal for two vertices iff their distance multisets are equal. For the
   outer scopes, w's own entry in its column is a distinct negative sentinel,
-  which takes W's vertices out of every comparison. The all and outer scopes
-  keep one key per vertex and test that the n keys are distinct; the
-  adjacent scopes keep one key difference per edge, packed into one integer
-  (below), and test that none is 0.
-- vector kinds: column w is a bitmask of the in-scope pairs (all pairs for
-  DIM, the edges for LDIM) that w separates; W resolves iff the OR of its
-  columns has every bit set.
+  which takes W's vertices out of every comparison. The kernel keeps one
+  key difference per pair, packed into one integer (below), and tests that
+  none is 0.
+- vector kinds: column w is a bitmask of the pairs that w separates; W
+  resolves iff the OR of its columns has every bit set.
 
-Adjacent multiset scopes (LMD, LDIM_MS), one integer per subset. Edge i of
-`g.edges` owns the L-bit lane [L*i, L*(i+1)). Lane i of column w holds
-key_w(u) - key_w(v) + bias for the edge (u, v), where `bias` exceeds every
-|key difference|: for LMD an edge's ends differ by at most 1 in distance, so
-|diff| <= n*(n+1)**(D-1) < (n+1)**D = bias; for LDIM_MS the sentinel
-entries give |diff| <= n*top + n + 1 < (n+1)**(D+2) = bias, with
-top = (n+1)**(D+1) (D the diameter). A lane of one column lies in
-[1, 2*bias), so a lane of a sum of k <= n columns lies in [k, 2k*bias), and
+Multiset kinds, one integer per subset. Pair i in scope owns the L-bit lane
+[L*i, L*(i+1)). Lane i of column w holds key_w(u) - key_w(v) + bias for the
+pair (u, v), where `bias` exceeds every |key difference|, with D the
+diameter. In the all and adjacent scopes every key is (n+1)**d with
+0 <= d <= D, so |diff| <= (n+1)**D - 1 < (n+1)**D = bias. In the outer
+scopes a column's one sentinel -(w+1)*top, with w < n and
+top = (n+1)**(D+1), gives |diff| <= n*top + (n+1)**D < (n+1)*top =
+(n+1)**(D+2) = bias. A lane of one column lies in [1, 2*bias), so a lane of
+a sum of k <= n columns lies in [k, 2k*bias), and
 L = (2*n*bias).bit_length() + 1 keeps every lane below 2**(L-1): sums and
 XORs never carry into the next lane, and every lane's top bit stays clear.
 Column w is sum over u of key_w(u) * E[u] + bias*low, where the incidence
-integer E[u] holds +1 in the lanes of the edges (u, v), -1 in those of
+integer E[u] holds +1 in the lanes of the pairs (u, v), -1 in those of
 (v, u), and low has a 1 in every lane. At level k the subset's key
-difference on edge i is 0 iff lane i of acc + col equals k*bias, that is iff
+difference on pair i is 0 iff lane i of acc + col equals k*bias, that is iff
 lane i of y = (acc + col) ^ k*bias*low is 0. W resolves iff
 (y - low) & high == 0, with high = low << (L-1), the lanes' top bits. The
 test is exact (the zero-lane test of Mycroft; Warren, "Hacker's Delight",
@@ -99,8 +99,7 @@ decision vertices scans n*|E| distance entries, so the membership search
 runs at most once, before the first level at which the level search has
 counted at least n*|E| subsets: a finite LMD found early never pays for
 it. On wheel:15 (n = 16) it runs before level 4, after 696 subsets, where
-the exhaustion visits 65 535. MD stays on exhaustion: its all-pairs scope
-has no packed columns to reuse.
+the exhaustion visits 65 535. MD stays on exhaustion.
 
 Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
 DIM_MS, counting the representations a vertex can have, with D the
@@ -255,18 +254,18 @@ def _key_rows(dm):
     return [list(map(powers.__getitem__, row)) for row in dm.d]
 
 
-def _packed_columns(keys, edges, bias):
+def _packed_columns(keys, pairs, bias):
     """(cols, low, L): lane i (L bits) of column w holds
-    keys[w][u] - keys[w][v] + bias for edges[i] = (u, v), and low has a 1
+    keys[w][u] - keys[w][v] + bias for pairs[i] = (u, v), and low has a 1
     in every lane; `bias` exceeds every difference (module docstring)."""
     n = len(keys)
     L = (2 * n * bias).bit_length() + 1
-    E = [0] * n  # E[u]: +1 in the lanes of the edges (u, v), -1 in (v, u)
-    for i, (u, v) in enumerate(edges):
+    E = [0] * n  # E[u]: +1 in the lanes of the pairs (u, v), -1 in (v, u)
+    for i, (u, v) in enumerate(pairs):
         lane = 1 << L * i
         E[u] += lane
         E[v] -= lane
-    low = ((1 << L * len(edges)) - 1) // ((1 << L) - 1)
+    low = ((1 << L * len(pairs)) - 1) // ((1 << L) - 1)
     return [sum(map(mul, row, E), bias * low) for row in keys], low, L
 
 
@@ -328,50 +327,41 @@ def _first_resolving(g, variant, constraints, budget):
     """
     dm = all_pairs_distances(g)
     n, edges, scope = g.n, g.edges, variant.scope
+    # in-scope pairs; the sentinels below settle outer pairs with an end in W
+    pairs = list(combinations(range(n), 2)) if scope in ("all", "outer") else edges
     if variant.kind == "vector":
-        # bit i of column w is set when w separates the i-th pair in scope;
-        # dm.d[w][u] is d(u, w)
-        pairs = list(combinations(range(n), 2)) if scope == "all" else edges
+        # bit i of column w is set when w separates pairs[i] (dm.d[w][u] is d(u, w))
         cols = [
             sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
             for row in dm.d
         ]
         full = (1 << len(pairs)) - 1
-        empty, extend = 0, or_
+        extend = or_
 
         def resolves(acc, col):
             return acc | col == full
 
     else:
         keys = _key_rows(dm)
-        if scope in ("outer", "adjacent_outer"):
+        outer = scope in ("outer", "adjacent_outer")
+        if outer:
             # a landmark's own entry is a sentinel: `top` exceeds every key,
             # so the key of w in W lies in [-(w+1)*top, -w*top), below every
             # key outside W and apart from the other landmarks' keys
             top = (n + 1) ** (dm.diameter + 1)
             for w, row in enumerate(keys):
                 row[w] = -(w + 1) * top
-        if scope in ("all", "outer"):
-            cols, empty = keys, [0] * n
+        bias = (n + 1) ** (dm.diameter + (2 if outer else 0))
+        cols, low, L = _packed_columns(keys, pairs, bias)
+        high = low << (L - 1)  # every lane's top bit
+        targets = [k * bias * low for k in range(n + 1)]
+        extend = add
 
-            def extend(acc, col):
-                return list(map(add, acc, col))
-
-            def resolves(acc, col):
-                return len(set(map(add, acc, col))) == n
-
-        else:
-            bias = (n + 1) ** (dm.diameter + (2 if scope == "adjacent_outer" else 0))
-            cols, low, L = _packed_columns(keys, edges, bias)
-            high = low << (L - 1)  # every lane's top bit
-            targets = [k * bias * low for k in range(n + 1)]
-            empty, extend = 0, add
-
-            def resolves(acc, col):
-                # k is the level being searched: a lane of y is 0 iff its
-                # edge's key difference is 0
-                y = (acc + col) ^ targets[k]
-                return (y - low) & high == 0
+        def resolves(acc, col):
+            # k is the level being searched: a lane of y is 0 iff its
+            # pair's key difference is 0
+            y = (acc + col) ^ targets[k]
+            return (y - low) & high == 0
 
     limit = math.inf if budget is None else budget
     # no subset of a level below k_min resolves; only the constraint-free
@@ -413,7 +403,7 @@ def _first_resolving(g, variant, constraints, budget):
                 if count > limit:
                     raise BudgetExhaustedError(budget, budget)
                 return None, count
-        W = search(0, k, 0, empty)
+        W = search(0, k, 0, 0)
         if W:
             return tuple(w for w in range(n) if W >> w & 1), examined
     return None, examined

@@ -83,6 +83,16 @@ def test_compute_graph6_input(capsys, tmp_path):
     assert json.loads(out)["results"][0]["value"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["edges", "graph6"])
+def test_compute_non_utf8_input_is_input_error(capsys, tmp_path, fmt):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n\xff\n")
+    code, out, err = run(capsys, "compute", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 @pytest.mark.parametrize("text", ["", " \n\n"])
 def test_compute_empty_graph6_stdin_is_input_error(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

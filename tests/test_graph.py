@@ -203,7 +203,7 @@ def test_twin_classes():
     assert twin_classes(gen_cycle(5)) == {}
     assert twin_classes(gen_star(3), closed=True) == {}
     assert twin_classes(K4_PENDANT, closed=True) == {frozenset(range(4)): (0, 1, 2)}
-    assert k_end_groups(K4_PENDANT) == [((0, 1, 2, 3), (0, 1, 2))]
+    assert k_end_groups(K4_PENDANT) == (((0, 1, 2, 3), (0, 1, 2)),)
 
 
 def _k_end_reference(g):
@@ -215,7 +215,7 @@ def _k_end_reference(g):
         ends = tuple(sorted(u for u in clique if g.degree(u) == r - 1))
         if r >= 3 and len(ends) >= 2:
             groups.append((tuple(sorted(clique)), ends))
-    return sorted(groups)
+    return tuple(sorted(groups))
 
 
 @pytest.mark.parametrize(
@@ -261,6 +261,23 @@ def test_solve_all_builds_distances_and_cliques_once():
     assert _maximal_cliques.cache_info().misses == 0  # the solver needs none
     lower_bounds(g)
     assert _maximal_cliques.cache_info().misses == 1
+
+
+def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
+    # the certificates and the LMD and LDIM_MS constraints share one memoized
+    # k_end_groups call
+    infinite_certificates.cache_clear()
+    k_end_groups.cache_clear()
+    calls = []
+    twins = graph.twin_classes
+
+    def counting(g, closed=False):
+        calls.append(closed)
+        return twins(g, closed)
+
+    monkeypatch.setattr(graph, "twin_classes", counting)
+    solve_all(gen_wheel(8))
+    assert calls.count(True) == 1
 
 
 @pytest.fixture

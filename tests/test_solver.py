@@ -318,13 +318,20 @@ def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
 
 
 def test_widest_lanes_at_the_cap_match_naive():
-    # gadget:8 has n = 20 at the solver cap and diameter 10
+    # gadget:8 has n = 20 at the solver cap and diameter 10; DIM_MS packs
+    # C(20, 2) = 190 pair lanes with the outer bias 21**12, the widest lanes
+    # the kernel builds
     g = gen_clique_gadget(8).graph
     assert (g.n, all_pairs_distances(g).diameter) == (20, 10)
-    naive = naive_all_dimensions(g, [Variant.LMD, Variant.LDIM_MS])
+    variants = [Variant.MD, Variant.DIM_MS, Variant.LMD, Variant.LDIM_MS]
+    naive = naive_all_dimensions(g, variants)
     for variant, want in naive.items():
         got = dimension(g, variant)
         assert (got.value, got.witness) == (want.value, want.witness), variant
+    # MD and DIM_MS have no constraints, so the counts match the oracle's
+    for variant in (Variant.MD, Variant.DIM_MS):
+        got = dimension(g, variant).subsets_checked
+        assert got == naive[variant].subsets_checked == 1164, variant
 
 
 def test_longest_exhaustion_matches_naive(classes7, monkeypatch):
@@ -373,6 +380,17 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
             assert certify(g, W, Variant.LMD).valid, (g.edges, W)
     assert dict(unsat) == {5: 2, 6: 11, 7: 83}
     assert sat == 865
+
+
+def test_membership_search_takes_every_vertex_when_they_resolve():
+    # take-before-skip reaches V first, and a decided lane's value is final
+    # there. A path on 0..8 with a leaf 9 at its centre: n = 10, diameter 8,
+    # so 2*n*bias = 20 * 11**8 lies just below 2**32. The lanes of the sum of
+    # all ten columns reach 2**31, which only the spare top bit of L holds.
+    g = Graph(10, [(i, i + 1) for i in range(8)] + [(4, 9)])
+    assert all_pairs_distances(g).diameter == 8
+    assert is_resolving(g, tuple(range(10)), Variant.LMD)
+    assert solver._membership_search(g, []) == (tuple(range(10)), 2**10 - 1)
 
 
 def test_membership_search_does_not_use_the_oracle_or_the_predicates(monkeypatch):
