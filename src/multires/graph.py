@@ -6,18 +6,20 @@ after construction.
 
 Only this module builds distances and cliques, memoized for the most recent
 graph. The solver needs no cliques: `k_end_groups` reads the K-end vertices
-off the closed-twin classes that `twin_classes` finds by hashing, and
-`maximal_cliques` serves only `clique_number`. The distance memo holds one
-BFS row per vertex, filled as rows are asked for: `distance_row` gives one
-of them, and `all_pairs_distances` fills them all. A call that needs the
-distances from a few landmarks builds only their rows; `within_two_hops`
-decides "diameter <= 2" with no BFS at all. `_bfs` is the one
-breadth-first search: connectivity reads its row of vertex 0, and
-`bipartition` the parity of that memoized row.
+off the closed-twin classes that `twin_classes` finds by hashing (both
+kinds memoized, for the certificates, the K-end groups and the solver's
+twin rules), and `maximal_cliques` serves only `clique_number`. The
+distance memo holds one BFS row per vertex, filled as rows are asked for:
+`distance_row` gives one of them, and `all_pairs_distances` fills them all.
+A call that needs the distances from a few landmarks builds only their
+rows; `within_two_hops` decides "diameter <= 2" with no BFS at all. `_bfs`
+is the one breadth-first search: connectivity reads its row of vertex 0,
+and `bipartition` the parity of that memoized row.
 """
 
 from collections import deque
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     CapExceededError,
@@ -38,7 +40,7 @@ class Graph:
     collapsed and loops are rejected.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_hash")
 
     def __init__(self, n, edges):
         if n < 1:
@@ -59,6 +61,7 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in sets)
         self._edges = tuple(sorted(seen))
+        self._hash = None  # the per-graph memos hash the graph on every lookup
 
     @property
     def edges(self):
@@ -96,7 +99,9 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        if self._hash is None:
+            self._hash = hash((self.n, self.adj))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self._edges)})"
@@ -380,11 +385,26 @@ def two_core(g):
 
 def twin_classes(g, closed=False):
     """{N(u): vertices}, or {N[u]: vertices} if `closed`, for each class of
-    two or more vertices with that neighbourhood, found by hashing."""
-    classes = {}
-    for u, nbrs in enumerate(g.adj):
-        classes.setdefault(nbrs | {u} if closed else nbrs, []).append(u)
-    return {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
+    two or more vertices with that neighbourhood, found by hashing.
+    Memoized for the most recent graph, each kind when first asked for; the
+    mapping is read-only.
+    """
+    memo = _twins(g)
+    closed = bool(closed)
+    if closed not in memo:
+        classes = {}
+        for u, nbrs in enumerate(g.adj):
+            classes.setdefault(nbrs | {u} if closed else nbrs, []).append(u)
+        memo[closed] = MappingProxyType(
+            {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
+        )
+    return memo[closed]
+
+
+@lru_cache(maxsize=1)
+def _twins(g):
+    """The twin classes of the most recent graph, by kind, as asked for."""
+    return {}
 
 
 @lru_cache(maxsize=1)

@@ -31,11 +31,10 @@ class Variant(Enum):
     def __init__(self, kind, scope):
         self.kind = kind
         self.scope = scope
-
-    @property
-    def always_finite(self):
-        """MD and LMD can be infinite; the other four never are."""
-        return self not in (Variant.MD, Variant.LMD)
+        # MD and LMD, the multiset kinds whose scope also compares the
+        # landmarks, can be infinite; the other four never are. A plain
+        # attribute, since the solver reads it on every solve.
+        self.always_finite = not (kind == "multiset" and scope in ("all", "adjacent"))
 
     @classmethod
     def from_name(cls, name):

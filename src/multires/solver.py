@@ -9,8 +9,9 @@ deterministic. `subsets_checked` and the subset budget count the subsets
 that pass the constraints, in that order. The search visits only what it
 needs to give that answer and counts the rest by arithmetic: it skips the
 levels that a counting bound rules out, cuts a prefix as soon as the
-constraints can no longer be met, and decides an infinite LMD value by a
-membership search instead of visiting all 2^n - 1 subsets.
+constraints or the twin rules can no longer be met, and decides an
+infinite LMD value by a membership search instead of visiting all
+2^n - 1 subsets.
 
 The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
@@ -63,10 +64,57 @@ with at_least <= |W & mask| <= at_most for every rule? It answers no when
 a rule's count already exceeds at_most, when a rule's shortfall below
 at_least exceeds the vertices of its class left at or after `first`, or
 when the shortfalls together exceed `slots`. Each condition is necessary
-because the classes are disjoint (each is a class of closed twins), so one
+because the classes are disjoint (each is a class of twins, below), so one
 more vertex lowers at most one shortfall by one. At a leaf, slots is 0 and
 the check is exactly the plain loop's filter; a cut prefix leads only to
 leaves the plain loop rejects and never counts, so pruning moves no count.
+`_completions(n, rules, chosen, first, slots)` counts the leaves below a
+node that pass the rules: with the classes disjoint, it is the coefficient
+of x**slots in a product of per-class binomial polynomials
+sum_j C(left, j) x**j, j over the counts that keep the class within its
+rule, times (1 + x)**(vertices in no class), and plain C(n - first, slots)
+when there are no rules.
+
+Twin rules (search-only). Vertices u, v are closed twins when
+N[u] = N[v] (so they are adjacent) and open twins when N(u) = N(v) (so
+they are not). Outside their own class, twins have the same distance to
+every vertex, so a landmark set that holds neither u nor v gives them the
+same vector and the same multiset. `_twin_rules(g, variant)` states what
+follows, one rule (mask, at_least, at_most) per class of t twins:
+- closed twins, all six variants: every scope compares u and v while both
+  are outside W (they are an edge, and a pair of the all and outer
+  scopes), so W holds all but one of the class: at least t - 1 (for DIM,
+  Hernando, Mora, Pelayo, Seara & Wood 2010).
+- open twins, DIM, MD and DIM_MS: the all and outer scopes compare them
+  the same way, so the same rule holds. They are never adjacent, so the
+  adjacent scopes never compare them and LDIM, LMD and LDIM_MS get no
+  rule from them.
+- MD and LMD, which also compare the vertices of W: with both u and v in
+  W, the multisets of u and v are still equal (each has one 0, one
+  d(u, v) and the same distances to the rest of W). So W holds exactly one
+  of a twin pair: at most 1 as well. A class of three or more then needs
+  at least 2 and at most 1, which no set obeys, and no subset resolves.
+  DIM separates u in W by its 0 coordinate, and the outer scopes drop a
+  pair with an end in W, so the others get no at_most.
+A vertex cannot have both an open twin v and a closed twin x: x is in
+N(u) = N(v), so v is in N[x] = N[u] and u, v would be adjacent. So the
+open and closed classes are disjoint, and `_feasible`'s slot argument
+holds for the constraints and the twin rules together. The K-end
+constraints of LMD and LDIM_MS are twin rules too (a K-end group is a
+closed-twin class); the search keeps the others apart. Every resolving set
+obeys the twin rules, but the plain loop counts the subsets that pass the
+constraints, resolving or not. So each internal node first checks the
+constraints alone, and a cut there is not counted. A node with two or
+more slots left then checks the constraints and the twin rules together.
+A cut there removes only subsets that do not resolve: the search adds the
+subsets below it that pass the constraints,
+`_completions(n, rules, chosen, first, slots)`, and raises the plain
+loop's budget error (budget, budget) when the sum passes the budget, as
+the plain loop would inside that subtree. Below a node with one slot left
+is a single loop over leaves, which are counted either way and cost less
+to test than a cut costs to count, so those nodes skip the twin rules. A
+set of twin rules that no set obeys ends the search before it starts,
+with every subset that passes the constraints counted.
 
 Membership search (LMD). Many graphs have an infinite LMD that no
 certificate covers, and the level search proves it only by visiting every
@@ -88,10 +136,8 @@ kernel's test. The rules prune with the same `_feasible` check, the
 vertices left being the slots.
 
 If no W resolves, the plain loop counts every nonempty subset that passes
-the rules, and the classes being disjoint that number is
-2^(vertices in no class) * prod over the rules of
-sum_{j=at_least}^{min(at_most, |class|)} C(|class|, j), less 1 when the
-empty set passes. The search returns it, or raises the plain loop's budget
+the rules, the sum over k = 1..n of `_completions(n, rules, 0, 0, k)`.
+The search returns it, or raises the plain loop's budget
 error (budget, budget) when it exceeds the budget. If some W resolves, the
 search discards it and the level search goes on unchanged, since the
 witness is the first resolving set in the plain loop's order. Finding the
@@ -107,10 +153,11 @@ diameter, proves that no k-set resolves when n > D^k + k (DIM; Khuller,
 Raghavachari & Rosenfeld 1996, "Landmarks in graphs"; Chartrand et al.
 2000), when n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the
 paper's g_bound), or when n - k exceeds the number of multisets the vertices
-outside W can take (DIM_MS). These variants have no K-end constraints, so
-the plain loop would count every subset of a skipped level: the search adds
-C(n, k) for each one to `subsets_checked`, and raises the plain loop's
-budget error when that sum passes the budget.
+outside W can take (DIM_MS). The plain loop would count every subset of a
+skipped level that passes the constraints: the search adds
+`_completions(n, rules, 0, 0, k)` for each one to `subsets_checked` (C(n, k),
+since these variants have no K-end constraints), and raises the plain
+loop's budget error when that sum passes the budget.
 """
 
 import math
@@ -122,12 +169,16 @@ from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
-from .graph import all_pairs_distances, k_end_groups
+from .graph import all_pairs_distances, k_end_groups, twin_classes
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
 
 SOLVER_CAP_DEFAULT = 20
+
+# the variants with K-end constraints; a module constant, since an Enum
+# member lookup is slow on the path of every solve
+_K_END_VARIANTS = (Variant.LMD, Variant.LDIM_MS)
 
 
 @dataclass(frozen=True)
@@ -138,6 +189,9 @@ class SolverOptions:
     parallel_shards: int = 1
     subset_budget: int = None
     cap: int = SOLVER_CAP_DEFAULT
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -200,7 +254,7 @@ def required_vertices(g, variant):
     one of the K-end vertices must be inside. Nothing here enumerates
     cliques, so there is no cap.
     """
-    if variant not in (Variant.LMD, Variant.LDIM_MS):
+    if variant not in _K_END_VARIANTS:
         raise GraphValidationError("required_vertices applies to LMD and LDIM_MS only")
     out = []
     for _, ends in k_end_groups(g):
@@ -230,20 +284,50 @@ def _feasible(rules, chosen, first, slots):
     short = 0
     for vs, lo, hi in rules:
         have = (chosen & vs).bit_count()
-        if have > hi or lo - have > (vs >> first).bit_count():
+        if have > hi:
             return False
-        short += max(lo - have, 0)
+        if have < lo:
+            if lo - have > (vs >> first).bit_count():
+                return False
+            short += lo - have
     return short <= slots
 
 
-def _passing_count(rules, n):
-    """The nonempty subsets of range(n) that pass the rules, whose classes
-    are disjoint (module docstring)."""
-    count = 2 ** (n - sum(vs.bit_count() for vs, _, _ in rules))
+def _twin_rules(g, variant):
+    """Search-only rules (mask, at_least, at_most), one per twin class, that
+    every resolving set obeys (module docstring). A class of three or more
+    under MD or LMD gets at_least > at_most: no set obeys it."""
+    at_most = g.n if variant.always_finite else 1  # 1 for MD and LMD
+    kinds = (True, False) if variant.scope in ("all", "outer") else (True,)
+    return [
+        (sum(1 << v for v in vs), len(vs) - 1, at_most)
+        for closed in kinds
+        for vs in twin_classes(g, closed).values()
+    ]
+
+
+def _completions(n, rules, chosen, first, slots):
+    """The sets chosen | X, X a `slots`-subset of first..n-1, that pass every
+    rule, whose classes are disjoint: the coefficient of x**slots in the
+    product over the classes of sum_j C(left, j) x**j, j over the counts
+    that keep the class within its rule, times (1 + x)**free for the
+    vertices in no class. Each polynomial is an integer in base 2**(n+1),
+    which holds every coefficient: each counts sets of at most n vertices."""
+    free = n - first
+    if not rules:
+        return math.comb(free, slots)
+    bits = n + 1
+    product = 1
     for vs, lo, hi in rules:
-        size = vs.bit_count()
-        count *= sum(math.comb(size, j) for j in range(lo, min(hi, size) + 1))
-    return count - all(lo == 0 for _, lo, _ in rules)
+        have = (chosen & vs).bit_count()
+        left = (vs >> first).bit_count()
+        free -= left
+        product *= sum(
+            math.comb(left, j) << bits * j
+            for j in range(max(lo - have, 0), min(hi - have, left) + 1)
+        )
+    product *= ((1 << bits) + 1) ** free
+    return product >> bits * slots & (1 << bits) - 1
 
 
 def _key_rows(dm):
@@ -316,7 +400,7 @@ def _membership_search(g, constraints):
     W = search(0, 0, 0, 0)
     if W is not None:
         W = tuple(w for w in range(n) if W >> w & 1)
-    return W, _passing_count(rules, n)
+    return W, sum(_completions(n, rules, 0, 0, k) for k in range(1, n + 1))
 
 
 def _first_resolving(g, variant, constraints, budget):
@@ -327,6 +411,25 @@ def _first_resolving(g, variant, constraints, budget):
     """
     dm = all_pairs_distances(g)
     n, edges, scope = g.n, g.edges, variant.scope
+    limit = math.inf if budget is None else budget
+    rules = _rules(constraints, n)
+    # the twin rules the constraints do not state; they only prune, and the
+    # search counts what they cut
+    twins = _twin_rules(g, variant)
+    if rules:
+        twins = [rule for rule in twins if rule not in rules]
+    both = rules + twins
+    if any(lo > hi for _, lo, hi in twins):
+        k_min = n + 1  # no set obeys the twin rules, so none resolves
+    else:
+        # no subset of a level below k_min resolves
+        k_min = level_lower_bound(g, variant)
+    examined = sum(_completions(n, rules, 0, 0, k) for k in range(1, k_min))
+    if examined > limit:
+        raise BudgetExhaustedError(budget, budget)
+    if k_min > n:
+        return None, examined
+
     # in-scope pairs; the sentinels below settle outer pairs with an end in W
     pairs = list(combinations(range(n), 2)) if scope in ("all", "outer") else edges
     if variant.kind == "vector":
@@ -363,15 +466,6 @@ def _first_resolving(g, variant, constraints, budget):
             y = (acc + col) ^ targets[k]
             return (y - low) & high == 0
 
-    limit = math.inf if budget is None else budget
-    # no subset of a level below k_min resolves; only the constraint-free
-    # variants get a k_min above 1, so the plain loop would count them all
-    k_min = level_lower_bound(g, variant)
-    examined = sum(math.comb(n, k) for k in range(1, k_min))
-    if examined > limit:
-        raise BudgetExhaustedError(budget, budget)
-    rules = _rules(constraints, n)
-
     def search(first, depth, prefix, acc):
         # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
@@ -379,6 +473,12 @@ def _first_resolving(g, variant, constraints, budget):
             for w in range(first, n - depth + 1):
                 chosen = prefix | 1 << w
                 if rules and not _feasible(rules, chosen, w + 1, depth - 1):
+                    continue
+                if twins and depth > 2 and not _feasible(both, chosen, w + 1, depth - 1):
+                    # nothing below resolves: count what the plain loop would
+                    examined += _completions(n, rules, chosen, w + 1, depth - 1)
+                    if examined > limit:
+                        raise BudgetExhaustedError(budget, budget)
                     continue
                 found = search(w + 1, depth - 1, chosen, extend(acc, cols[w]))
                 if found:
@@ -415,7 +515,7 @@ def _elapsed_ms(t0):
 
 def dimension(g, variant, opts=None):
     """Exact dimension for one variant, per the enumeration contract above."""
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     budget = opts.subset_budget
     if opts.parallel_shards < 1 or opts.cap < 1 or (budget is not None and budget < 0):
         raise GraphValidationError(
@@ -439,7 +539,7 @@ def dimension(g, variant, opts=None):
                 )
 
     constraints = []
-    if variant in (Variant.LMD, Variant.LDIM_MS):
+    if variant in _K_END_VARIANTS:
         constraints = required_vertices(g, variant)
 
     W, examined = _first_resolving(g, variant, constraints, budget)

@@ -204,6 +204,9 @@ def test_twin_classes():
     assert twin_classes(gen_star(3), closed=True) == {}
     assert twin_classes(K4_PENDANT, closed=True) == {frozenset(range(4)): (0, 1, 2)}
     assert k_end_groups(K4_PENDANT) == (((0, 1, 2, 3), (0, 1, 2)),)
+    # memoized, so callers share one mapping and cannot change it
+    with pytest.raises(TypeError):
+        twin_classes(gen_star(3))[frozenset()] = ()
 
 
 def _k_end_reference(g):
@@ -265,9 +268,10 @@ def test_solve_all_builds_distances_and_cliques_once():
 
 def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
     # the certificates and the LMD and LDIM_MS constraints share one memoized
-    # k_end_groups call
+    # k_end_groups call, and the twin rules read the memoized classes
     infinite_certificates.cache_clear()
     k_end_groups.cache_clear()
+    graph._twins.cache_clear()
     calls = []
     twins = graph.twin_classes
 
@@ -278,6 +282,8 @@ def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
     monkeypatch.setattr(graph, "twin_classes", counting)
     solve_all(gen_wheel(8))
     assert calls.count(True) == 1
+    assert graph._twins.cache_info().misses == 1
+    assert set(graph._twins(gen_wheel(8))) == {False, True}  # one memo, both kinds
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from multires.generators import (
     gen_wheel,
     parse_family_spec,
 )
-from multires.graph import Graph, all_pairs_distances, parse_graph6
+from multires.graph import Graph, all_pairs_distances, parse_graph6, twin_classes
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
@@ -122,8 +122,10 @@ def test_budget_is_conclusive_or_raises():
         (gen_wheel(8), Variant.LDIM_MS),
         (gen_cycle(5), Variant.LMD),
         (gen_wheel(8), Variant.DIM_MS),
+        # md is infinite; the open twins 1, 2 cut the last subset, V
+        (parse_graph6("EsXo"), Variant.MD),
     ],
-    ids=["finite", "exhausted", "outer"],
+    ids=["finite", "exhausted", "outer", "exhausted_in_a_twin_cut"],
 )
 def test_budget_boundary(g, variant):
     full = dimension(g, variant)
@@ -451,6 +453,112 @@ def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
     with pytest.raises(BudgetExhaustedError) as info:
         dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=31))
     assert (info.value.examined, info.value.budget) == (31, 31)
+
+
+# --- twin rules: every resolving set obeys them, and what they cut is counted
+
+
+def test_twin_rules_hold_for_every_resolving_set_up_to_6(classes7):
+    # resolving by the definitions in multisets, not by the kernel; a rule
+    # is read as a vertex set with bounds on its count in W
+    checked, unsatisfiable = Counter(), Counter()
+    for g, _ in classes7:
+        if g.n > 6:
+            break
+        rules = {variant: solver._twin_rules(g, variant) for variant in Variant}
+        for variant, variant_rules in rules.items():
+            unsatisfiable[variant.name] += any(lo > hi for _, lo, hi in variant_rules)
+        for k in range(1, g.n + 1):
+            for W in combinations(range(g.n), k):
+                for variant, variant_rules in rules.items():
+                    if not variant_rules or not is_resolving(g, W, variant):
+                        continue
+                    for mask, lo, hi in variant_rules:
+                        hit = sum(mask >> w & 1 for w in W)
+                        assert lo <= hit <= hi, (variant, g.edges, W, mask)
+                    checked[variant.name] += 1
+    # resolving sets checked against at least one rule; MD and LMD have
+    # classes that no set obeys, and none of their subsets resolves
+    assert dict(checked) == {
+        "DIM": 2826,
+        "LDIM": 2002,
+        "MD": 134,
+        "DIM_MS": 2243,
+        "LMD": 492,
+        "LDIM_MS": 1775,
+    }
+    assert dict(unsatisfiable) == {
+        "DIM": 0,
+        "LDIM": 0,
+        "MD": 30,
+        "DIM_MS": 0,
+        "LMD": 16,
+        "LDIM_MS": 0,
+    }
+
+
+CORONA = "corona:path:5/2,2,2,2,2"
+
+
+@pytest.mark.parametrize("variant", [Variant.MD, Variant.DIM_MS])
+def test_budget_around_a_twin_cut(variant, monkeypatch):
+    g = gen(parse_family_spec(CORONA))
+    exact = dimension(g, variant, opts=SolverOptions(subset_budget=6770))
+    assert (exact.value, exact.witness, exact.subsets_checked) == (
+        6,
+        (0, 5, 7, 9, 11, 13),
+        6770,
+    )
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, variant, opts=SolverOptions(subset_budget=6769))
+    assert (info.value.examined, info.value.budget) == (6769, 6769)
+    # level 1 is skipped and counted (15 subsets), and level 2 is searched
+    # (105). At level 3 the five closed-twin pairs (5, 6), ..., (13, 14)
+    # each need a vertex, so the twin rules cut the prefix (0,) at once
+    # and count its 91 subsets; the plain loop reaches subset 170 inside
+    # that cut
+    calls = []
+    completions = solver._completions
+
+    def recording(*args):
+        calls.append((args[2:], completions(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_completions", recording)
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, variant, opts=SolverOptions(subset_budget=170))
+    assert (info.value.examined, info.value.budget) == (170, 170)
+    assert calls == [((0, 0, 1), 15), ((1, 1, 2), 91)]
+
+
+def test_md_with_a_closed_twin_triple_is_infinite_without_a_search(
+    classes7, monkeypatch
+):
+    # no certificate covers a closed-twin triple for MD, and the twin rules
+    # (exactly one of each twin pair) admit no set: the answer is the
+    # exhaustion's, counted by arithmetic, and no subset is tested, since
+    # testing one needs the kernel's columns
+    def no_columns(*args):
+        raise AssertionError("the kernel built its columns")
+
+    monkeypatch.setattr(solver, "_packed_columns", no_columns)
+    covered = []
+    for g, _ in classes7:
+        if any(c.variant is Variant.MD for c in infinite_certificates(g)):
+            continue
+        if all(len(vs) < 3 for vs in twin_classes(g, closed=True).values()):
+            continue
+        got = dimension(g, Variant.MD)
+        want = (INFINITE, 2**g.n - 1, f"exhausted all 2^{g.n} - 1 subsets")
+        assert (got.value, got.subsets_checked, got.certificate) == want, g.edges
+        covered.append(g)
+    assert Counter(g.n for g in covered) == {6: 2, 7: 22}
+    g = covered[0]
+    assert naive_all_dimensions(g, [Variant.MD])[Variant.MD].is_infinite
+    short = 2**g.n - 2
+    with pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, Variant.MD, opts=SolverOptions(subset_budget=short))
+    assert (info.value.examined, info.value.budget) == (short, short)
 
 
 @pytest.mark.parametrize(
