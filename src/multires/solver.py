@@ -3,15 +3,22 @@
 Resolvability of the multiset variants is not monotone under adding
 landmarks, so there are no superset shortcuts. The answer is that of a
 plain loop over the subsets of each cardinality k = 1..n, lexicographic
-within each k, that skips the subsets a theorem-backed constraint excludes
-and returns the first subset that resolves; this makes witnesses
+within each k, that skips the subsets a K-end rule (below) excludes and
+returns the first subset that resolves; this makes witnesses
 deterministic. `subsets_checked` and the subset budget count the subsets
-that pass the constraints, in that order. The search visits only what it
+that pass the K-end rules, in that order. The search visits only what it
 needs to give that answer and counts the rest by arithmetic: it skips the
 levels that a counting bound rules out, cuts a prefix as soon as the
-constraints or the twin rules can no longer be met, and decides an
+K-end rules or the twin rules can no longer be met, and decides an
 infinite LMD value by a membership search instead of visiting all
 2^n - 1 subsets.
+
+K-end rules (LMD and LDIM_MS). The K-end vertices of a clique K, the u with
+N[u] = K, are closed twins (`graph.k_end_groups`), so no landmark outside
+them tells them apart. LMD needs exactly one of two in W (three or more make
+LMD infinite, and `dimension()` returns the triple_k_end certificate first),
+and LDIM_MS all but one. `_k_end_rules(g, variant)` states these as rules
+(mask, at_least, at_most), below; no clique is enumerated, so there is no cap.
 
 The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
@@ -56,8 +63,8 @@ top bit is set. (The general form (y - low) & ~y & high allows lanes with
 their top bit set; the spare bit of L makes ~y & high = high.)
 
 The order and the budget count are those of the plain loop, so witnesses
-and `subsets_checked` are the same. The constraints are read as rules
-(mask, at_least, at_most) on bitmasks, and one check,
+and `subsets_checked` are the same. A rule (mask, at_least, at_most) bounds
+the count of W's vertices in the vertex set `mask`, and one check,
 `_feasible(rules, chosen, first, slots)`, runs at every node of the search:
 can `chosen` grow by `slots` more vertices from first..n-1 into a set W
 with at_least <= |W & mask| <= at_most for every rule? It answers no when
@@ -98,27 +105,28 @@ follows, one rule (mask, at_least, at_most) per class of t twins:
   pair with an end in W, so the others get no at_most.
 A vertex cannot have both an open twin v and a closed twin x: x is in
 N(u) = N(v), so v is in N[x] = N[u] and u, v would be adjacent. So the
-open and closed classes are disjoint, and `_feasible`'s slot argument
-holds for the constraints and the twin rules together. The K-end
-constraints of LMD and LDIM_MS are twin rules too (a K-end group is a
-closed-twin class); the search keeps the others apart. Every resolving set
-obeys the twin rules, but the plain loop counts the subsets that pass the
-constraints, resolving or not. So each internal node first checks the
-constraints alone, and a cut there is not counted. A node with two or
-more slots left then checks the constraints and the twin rules together.
-A cut there removes only subsets that do not resolve: the search adds the
-subsets below it that pass the constraints,
+open and closed classes are disjoint. Each K-end rule is also a twin rule:
+a K-end group is a closed-twin class, and the bounds agree. So the search
+drops the twin rules that repeat a K-end rule, the classes of the K-end
+rules and of the twin rules left are disjoint, and `_feasible`'s slot
+argument holds for them together. Every resolving set obeys the twin
+rules, but the plain loop counts the subsets that pass the K-end rules,
+resolving or not. So each internal node first checks the K-end rules
+alone, and a cut there is not counted. A node with two or more slots left
+then checks the K-end rules and the twin rules together. A cut there
+removes only subsets that do not resolve: the search adds the subsets
+below it that pass the K-end rules,
 `_completions(n, rules, chosen, first, slots)`, and raises the plain
 loop's budget error (budget, budget) when the sum passes the budget, as
 the plain loop would inside that subtree. Below a node with one slot left
 is a single loop over leaves, which are counted either way and cost less
 to test than a cut costs to count, so those nodes skip the twin rules. A
 set of twin rules that no set obeys ends the search before it starts,
-with every subset that passes the constraints counted.
+with every subset that passes the K-end rules counted.
 
 Membership search (LMD). Many graphs have an infinite LMD that no
 certificate covers, and the level search proves it only by visiting every
-subset. `_membership_search` decides whether any W passing the rules
+subset. `_membership_search` decides whether any W passing the K-end rules
 resolves, by a depth-first walk over i = 0..n-1 that tries "take vertex i"
 before "skip it". For an edge (u, v), only W & D_uv moves its lane, where
 D_uv = {w : d(u, w) != d(v, w)}: every other landmark adds exactly `bias`.
@@ -132,11 +140,11 @@ for level j applies, under a prefix mask that keeps only the decided lanes'
 top bits: ((acc ^ j*bias*low) - low) & mask == 0. This is exact: a borrow
 moves only upward, the undecided lanes lie above the mask, so no borrow
 from them reaches a tested lane, and on the tested lanes it is the
-kernel's test. The rules prune with the same `_feasible` check, the
+kernel's test. The K-end rules prune with the same `_feasible` check, the
 vertices left being the slots.
 
 If no W resolves, the plain loop counts every nonempty subset that passes
-the rules, the sum over k = 1..n of `_completions(n, rules, 0, 0, k)`.
+the K-end rules, the sum over k = 1..n of `_completions(n, rules, 0, 0, k)`.
 The search returns it, or raises the plain loop's budget
 error (budget, budget) when it exceeds the budget. If some W resolves, the
 search discards it and the level search goes on unchanged, since the
@@ -154,9 +162,9 @@ Raghavachari & Rosenfeld 1996, "Landmarks in graphs"; Chartrand et al.
 2000), when n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the
 paper's g_bound), or when n - k exceeds the number of multisets the vertices
 outside W can take (DIM_MS). The plain loop would count every subset of a
-skipped level that passes the constraints: the search adds
+skipped level that passes the K-end rules: the search adds
 `_completions(n, rules, 0, 0, k)` for each one to `subsets_checked` (C(n, k),
-since these variants have no K-end constraints), and raises the plain
+since these variants have no K-end rules), and raises the plain
 loop's budget error when that sum passes the budget.
 """
 
@@ -175,10 +183,6 @@ from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 INFINITE = math.inf
 
 SOLVER_CAP_DEFAULT = 20
-
-# the variants with K-end constraints; a module constant, since an Enum
-# member lookup is slow on the path of every solve
-_K_END_VARIANTS = (Variant.LMD, Variant.LDIM_MS)
 
 
 @dataclass(frozen=True)
@@ -219,15 +223,6 @@ class DimensionResult:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Cardinality constraint on the intersection of W with a vertex set."""
-
-    vertices: tuple
-    at_least: int
-    at_most: int  # None means unbounded
-
-
-@dataclass(frozen=True)
 class Certificate:
     variant: Variant
     witness: tuple
@@ -243,38 +238,17 @@ class Certificate:
         }
 
 
-def required_vertices(g, variant):
-    """Theorem-backed membership constraints from the K-end vertices.
-
-    The K-end vertices of a clique are adjacent closed twins, so they have
-    the same distance to every other vertex (`graph.k_end_groups`). LMD: a
-    clique with two K-end vertices forces exactly one of them into every
-    resolving set (three or more make lmd infinite, and `dimension()`
-    returns the triple_k_end certificate before asking). LDIM_MS: all but
-    one of the K-end vertices must be inside. Nothing here enumerates
-    cliques, so there is no cap.
-    """
-    if variant not in _K_END_VARIANTS:
-        raise GraphValidationError("required_vertices applies to LMD and LDIM_MS only")
-    out = []
-    for _, ends in k_end_groups(g):
-        t = len(ends)
-        if variant is Variant.LDIM_MS:
-            out.append(Constraint(vertices=ends, at_least=t - 1, at_most=None))
-        elif t == 2:
-            out.append(Constraint(vertices=ends, at_least=1, at_most=1))
-    return out
-
-
-def _rules(constraints, n):
-    """(mask, at_least, at_most) of each constraint, at_most n when unbounded."""
+def _k_end_rules(g, variant):
+    """The K-end rules (mask, at_least, at_most) of LMD and LDIM_MS, none for
+    the other variants (module docstring). Told apart by kind and scope, as
+    an Enum member lookup is slow on the path of every solve."""
+    if variant.kind == "vector" or variant.scope not in ("adjacent", "adjacent_outer"):
+        return []
+    at_most = g.n if variant.always_finite else 1  # 1 for LMD
     return [
-        (
-            sum(1 << v for v in c.vertices),
-            c.at_least,
-            n if c.at_most is None else c.at_most,
-        )
-        for c in constraints
+        (sum(1 << v for v in ends), len(ends) - 1, at_most)
+        for _, ends in k_end_groups(g)
+        if at_most > 1 or len(ends) == 2  # LMD: pairs; triples have a certificate
     ]
 
 
@@ -353,17 +327,16 @@ def _packed_columns(keys, pairs, bias):
     return [sum(map(mul, row, E), bias * low) for row in keys], low, L
 
 
-def _membership_search(g, constraints):
-    """Whether some landmark set that passes the constraints resolves g for
+def _membership_search(g, rules):
+    """Whether some landmark set that passes the K-end rules resolves g for
     LMD, by a take-before-skip search over the vertices (module docstring).
 
     Returns (W, count): W a resolving set as a sorted tuple, or None when
-    none exists, and count the nonempty subsets that pass the constraints,
-    which is what an exhaustion counts.
+    none exists, and count the nonempty subsets that pass the rules, which
+    is what an exhaustion counts.
     """
     dm = all_pairs_distances(g)
     n, d = g.n, dm.d
-    rules = _rules(constraints, n)
     # dm.d[w][u] is d(u, w); once its decision vertex is decided, an edge's
     # lane is final
     decision = {
@@ -403,17 +376,17 @@ def _membership_search(g, constraints):
     return W, sum(_completions(n, rules, 0, 0, k) for k in range(1, n + 1))
 
 
-def _first_resolving(g, variant, constraints, budget):
+def _first_resolving(g, variant, budget):
     """The first resolving W, by k and then lexicographically (module docstring).
 
     Returns (W, examined), W None when no subset resolves; `examined` counts
-    the subsets that pass the constraints.
+    the subsets that pass the K-end rules.
     """
     dm = all_pairs_distances(g)
     n, edges, scope = g.n, g.edges, variant.scope
     limit = math.inf if budget is None else budget
-    rules = _rules(constraints, n)
-    # the twin rules the constraints do not state; they only prune, and the
+    rules = _k_end_rules(g, variant)
+    # the twin rules that repeat no K-end rule; they only prune, and the
     # search counts what they cut
     twins = _twin_rules(g, variant)
     if rules:
@@ -498,7 +471,7 @@ def _first_resolving(g, variant, constraints, budget):
     for k in range(k_min, n + 1):
         if probe and examined >= n * len(edges):
             probe = False
-            W, count = _membership_search(g, constraints)
+            W, count = _membership_search(g, rules)
             if W is None:
                 if count > limit:
                     raise BudgetExhaustedError(budget, budget)
@@ -538,11 +511,7 @@ def dimension(g, variant, opts=None):
                     elapsed_ms=_elapsed_ms(t0),
                 )
 
-    constraints = []
-    if variant in _K_END_VARIANTS:
-        constraints = required_vertices(g, variant)
-
-    W, examined = _first_resolving(g, variant, constraints, budget)
+    W, examined = _first_resolving(g, variant, budget)
     if W is not None:
         return DimensionResult(
             variant=variant,

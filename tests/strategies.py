@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -20,6 +21,21 @@ def random_connected_graph(rng, n_max=8, n_min=2):
         u, v = rng.sample(range(n), 2)
         edges.add(tuple(sorted((u, v))))
     return Graph(n, edges)
+
+
+def plain_count(g, rules, last):
+    """Subsets that pass every rule (mask, at_least, at_most), read as a
+    vertex set with bounds on its count in W, in the solver's order (k, then
+    lexicographic), up to and including `last` (all if None)."""
+    count = 0
+    for k in range(1, g.n + 1):
+        for W in combinations(range(g.n), k):
+            hits = [sum(mask >> w & 1 for w in W) for mask, _, _ in rules]
+            if all(lo <= hit <= hi for (_, lo, hi), hit in zip(rules, hits)):
+                count += 1
+            if W == last:
+                return count
+    return count
 
 
 @st.composite

@@ -126,7 +126,7 @@ def test_criterion_9_solver_self_consistency(oracle_sweep):
     report(
         9,
         "solver self-consistency",
-        not mismatches and counted == 2558,
+        not mismatches and counted == 2697,
         detail=f"{counted} counts compared; first mismatches {mismatches[:5]}",
     )
 

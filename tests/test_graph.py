@@ -267,7 +267,7 @@ def test_solve_all_builds_distances_and_cliques_once():
 
 
 def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
-    # the certificates and the LMD and LDIM_MS constraints share one memoized
+    # the certificates and the LMD and LDIM_MS K-end rules share one memoized
     # k_end_groups call, and the twin rules read the memoized classes
     infinite_certificates.cache_clear()
     k_end_groups.cache_clear()

@@ -30,16 +30,14 @@ from multires.graph import Graph, all_pairs_distances, parse_graph6, twin_classe
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
-    Constraint,
     SolverOptions,
     certify,
     dimension,
     naive_all_dimensions,
-    required_vertices,
     solve_all,
 )
 
-from strategies import connected_graphs, random_connected_graph
+from strategies import connected_graphs, plain_count, random_connected_graph
 
 
 def values(g, opts=None):
@@ -87,7 +85,7 @@ def test_infinite_results_carry_certificates():
 
 
 def test_exhaustion_without_shortcuts():
-    # C_5 has no LMD certificate and no K-end constraint: only a search
+    # C_5 has no LMD certificate and no K-end rule: only a search
     # settles that lmd(C_5) is infinite, and it counts every subset
     r = dimension(gen_cycle(5), Variant.LMD)
     assert r.is_infinite
@@ -180,29 +178,31 @@ def test_parallel_shards_start_no_process(monkeypatch):
     assert (r.value, r.witness) == (2, (0, 4))
 
 
-def test_required_vertices_lmd_pair_constraint():
+def test_k_end_rules_lmd_pair_rule():
     # two triangles sharing vertex 0: each has a K-end pair
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    entries = required_vertices(g, Variant.LMD)
-    assert all(isinstance(e, Constraint) for e in entries)
-    assert sorted(e.vertices for e in entries) == [(1, 2), (3, 4)]
-    assert all((e.at_least, e.at_most) == (1, 1) for e in entries)
+    rules = solver._k_end_rules(g, Variant.LMD)
+    assert sorted(rules) == [(0b00110, 1, 1), (0b11000, 1, 1)]
+    # the four variants other than LMD and LDIM_MS get no K-end rule
+    others = set(Variant) - {Variant.LMD, Variant.LDIM_MS}
+    assert all(solver._k_end_rules(g, variant) == [] for variant in others)
 
 
-def test_required_vertices_ldim_ms_flags_derived_case():
+def test_k_end_rules_ldim_ms_all_but_one():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    entries = required_vertices(g, Variant.LDIM_MS)
-    assert all(e.at_least == 1 and e.at_most is None for e in entries)
-    big = required_vertices(gen_complete(5), Variant.LDIM_MS)
-    assert big[0].at_least == 4
+    rules = solver._k_end_rules(g, Variant.LDIM_MS)
+    assert sorted(rules) == [(0b00110, 1, 5), (0b11000, 1, 5)]
+    big = solver._k_end_rules(gen_complete(5), Variant.LDIM_MS)
+    assert big == [(0b11111, 4, 5)]
 
 
-def test_required_vertices_need_no_cap_above_20():
+def test_k_end_rules_need_no_cap_above_20():
     # n = 22: seven K_4 share vertex 0, and each keeps three K-end vertices
     g = gen(parse_family_spec("amal:4,4,4,4,4,4,4"))
-    entries = required_vertices(g, Variant.LDIM_MS)
-    assert len(entries) == 7
-    assert all(len(e.vertices) == 3 and e.at_least == 2 for e in entries)
+    rules = solver._k_end_rules(g, Variant.LDIM_MS)
+    assert len(rules) == 7
+    assert all((mask.bit_count(), lo, hi) == (3, 2, 22) for mask, lo, hi in rules)
+    assert sum(mask for mask, _, _ in rules) == (1 << 22) - 2  # all but vertex 0
 
 
 def test_triple_k_end_certificate_above_20():
@@ -274,24 +274,7 @@ def test_pruned_solver_matches_naive_on_random_graphs():
 def test_kernel_matches_naive_witnesses_and_counts(oracle_sweep):
     mismatches, counted = oracle_sweep
     assert mismatches == []
-    assert counted == 2558
-
-
-def _plain_count(g, constraints, last):
-    """Subsets that pass every constraint, read as sets, in the solver's
-    order (k, then lexicographic), up to and including `last` (all if None)."""
-    count = 0
-    for k in range(1, g.n + 1):
-        for W in combinations(range(g.n), k):
-            hits = [len(set(W) & set(c.vertices)) for c in constraints]
-            if all(
-                c.at_least <= hit and (c.at_most is None or hit <= c.at_most)
-                for c, hit in zip(constraints, hits)
-            ):
-                count += 1
-            if W == last:
-                return count
-    return count
+    assert counted == 2697  # 139 of them under K-end rules
 
 
 def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
@@ -307,11 +290,9 @@ def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
             if not got.subsets_checked:  # a structural certificate answered
                 assert got.is_infinite and got.certificate, where
                 continue
-            constraints = []
-            if variant in (Variant.LMD, Variant.LDIM_MS):
-                constraints = required_vertices(g, variant)
-            if constraints:
-                want_count = _plain_count(g, constraints, got.witness)
+            rules = solver._k_end_rules(g, variant)
+            if rules:
+                want_count = plain_count(g, rules, got.witness)
                 constrained += 1
             else:
                 want_count = want.subsets_checked
@@ -330,7 +311,7 @@ def test_widest_lanes_at_the_cap_match_naive():
     for variant, want in naive.items():
         got = dimension(g, variant)
         assert (got.value, got.witness) == (want.value, want.witness), variant
-    # MD and DIM_MS have no constraints, so the counts match the oracle's
+    # MD and DIM_MS have no K-end rules, so the counts match the oracle's
     for variant in (Variant.MD, Variant.DIM_MS):
         got = dimension(g, variant).subsets_checked
         assert got == naive[variant].subsets_checked == 1164, variant
@@ -362,15 +343,15 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
     # every class whose LMD no certificate settles: a W found must pass
     # certify(), and none found must be an infinite LMD by the oracle; the
     # count is that of a plain loop over the subsets that pass the
-    # constraints (2^n - 1 when there are none)
+    # K-end rules (2^n - 1 when there are none)
     unsat, sat = Counter(), 0
     for g, _ in classes7:
         if any(c.variant is Variant.LMD for c in infinite_certificates(g)):
             continue
-        constraints = required_vertices(g, Variant.LMD)
-        W, count = solver._membership_search(g, constraints)
-        if constraints or W is None:
-            assert count == _plain_count(g, constraints, None), g.edges
+        rules = solver._k_end_rules(g, Variant.LMD)
+        W, count = solver._membership_search(g, rules)
+        if rules or W is None:
+            assert count == plain_count(g, rules, None), g.edges
         else:
             assert count == 2**g.n - 1, g.edges
         if W is None:
@@ -441,7 +422,7 @@ def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
     # one K-end pair (2, 4): of the 2^6 - 1 subsets, the 2^4 * 2 that hold
     # exactly one of 2 and 4 are counted
     g = parse_graph6("Eqiw")
-    assert [c.vertices for c in required_vertices(g, Variant.LMD)] == [(2, 4)]
+    assert solver._k_end_rules(g, Variant.LMD) == [(0b10100, 1, 1)]
     full = dimension(g, Variant.LMD)
     assert (full.value, full.subsets_checked) == (INFINITE, 32)
     exact = dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=32))
@@ -494,6 +475,34 @@ def test_twin_rules_hold_for_every_resolving_set_up_to_6(classes7):
         "DIM_MS": 0,
         "LMD": 16,
         "LDIM_MS": 0,
+    }
+
+
+def test_k_end_rules_are_twin_rules_on_disjoint_classes(classes7):
+    # the search counts the K-end rules and only prunes with the twin rules
+    # that repeat none, which is sound when each K-end rule is a twin rule;
+    # _feasible's slot argument and _completions' product need the classes
+    # of the two lists together to be disjoint
+    k_end = Counter()
+    for g, _ in classes7:
+        for variant in Variant:
+            rules = solver._k_end_rules(g, variant)
+            twins = solver._twin_rules(g, variant)
+            assert all(rule in twins for rule in rules), (variant, g.edges)
+            both = rules + [rule for rule in twins if rule not in rules]
+            union = 0
+            for mask, _, _ in both:
+                assert not union & mask, (variant, g.edges)
+                union |= mask
+            k_end[variant.name] += len(rules)
+    # K-end rules checked; the other four variants have none
+    assert dict(k_end) == {
+        "DIM": 0,
+        "LDIM": 0,
+        "MD": 0,
+        "DIM_MS": 0,
+        "LMD": 153,
+        "LDIM_MS": 189,
     }
 
 
