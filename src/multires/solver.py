@@ -9,9 +9,9 @@ deterministic. `subsets_checked` and the subset budget count the subsets
 that pass the K-end rules, in that order. The search visits only what it
 needs to give that answer and counts the rest by arithmetic: it skips the
 levels that a counting bound rules out, cuts a prefix as soon as the
-K-end rules or the twin rules can no longer be met, and decides an
-infinite LMD value by a membership search instead of visiting all
-2^n - 1 subsets.
+K-end rules or the twin rules can no longer be met or a pair that no later
+landmark can tell apart is unresolved, and decides an infinite LMD value
+by a membership walk instead of visiting all 2^n - 1 subsets.
 
 K-end rules (LMD and LDIM_MS). The K-end vertices of a clique K, the u with
 N[u] = K, are closed twins (`graph.k_end_groups`), so no landmark outside
@@ -51,16 +51,14 @@ XORs never carry into the next lane, and every lane's top bit stays clear.
 Column w is sum over u of key_w(u) * E[u] + bias*low, where the incidence
 integer E[u] holds +1 in the lanes of the pairs (u, v), -1 in those of
 (v, u), and low has a 1 in every lane. At level k the subset's key
-difference on pair i is 0 iff lane i of acc + col equals k*bias, that is iff
-lane i of y = (acc + col) ^ k*bias*low is 0. W resolves iff
-(y - low) & high == 0, with high = low << (L-1), the lanes' top bits. The
-test is exact (the zero-lane test of Mycroft; Warren, "Hacker's Delight",
-6-1): a borrow can start only at a zero lane. If no lane is 0, every lane is
-at least 1, subtracting low borrows nowhere, and each lane y_i - 1 < 2**(L-1)
-has its top bit clear. If some lane is 0, the lanes below the lowest zero
-lane are at least 1 and lend it no borrow, so it becomes 2**L - 1, whose
-top bit is set. (The general form (y - low) & ~y & high allows lanes with
-their top bit set; the spare bit of L makes ~y & high = high.)
+difference on pair i is 0 iff lane i of acc + col equals k*bias. With
+high = low << (L-1), the lanes' top bits, and targets[k] = k*bias*low | high,
+lane i of y = (acc + col) ^ targets[k] is 2**(L-1) + z_i, with z_i < 2**(L-1)
+and z_i = 0 iff the difference is 0 (the sum's top bits are clear, so the
+XOR sets them all). W resolves iff (y - low) & high == high. The test is
+exact (a zero-lane test; Warren, "Hacker's Delight", 6-1): with every top
+bit set first, every lane is at least 1, so subtracting low borrows nowhere,
+and lane i keeps its top bit iff z_i >= 1.
 
 The order and the budget count are those of the plain loop, so witnesses
 and `subsets_checked` are the same. A rule (mask, at_least, at_most) bounds
@@ -113,47 +111,47 @@ argument holds for them together. Every resolving set obeys the twin
 rules, but the plain loop counts the subsets that pass the K-end rules,
 resolving or not. So each internal node first checks the K-end rules
 alone, and a cut there is not counted. A node with two or more slots left
-then checks the K-end rules and the twin rules together. A cut there
-removes only subsets that do not resolve: the search adds the subsets
-below it that pass the K-end rules,
+then checks its final lanes (below) and the K-end and twin rules together.
+A cut there removes only subsets that do not resolve: the search adds the
+subsets below it that pass the K-end rules,
 `_completions(n, rules, chosen, first, slots)`, and raises the plain
 loop's budget error (budget, budget) when the sum passes the budget, as
 the plain loop would inside that subtree. Below a node with one slot left
 is a single loop over leaves, which are counted either way and cost less
-to test than a cut costs to count, so those nodes skip the twin rules. A
+to test than a cut costs to count, so those nodes skip these checks. A
 set of twin rules that no set obeys ends the search before it starts,
 with every subset that passes the K-end rules counted.
 
-Membership search (LMD). Many graphs have an infinite LMD that no
-certificate covers, and the level search proves it only by visiting every
-subset. `_membership_search` decides whether any W passing the K-end rules
-resolves, by a depth-first walk over i = 0..n-1 that tries "take vertex i"
-before "skip it". For an edge (u, v), only W & D_uv moves its lane, where
-D_uv = {w : d(u, w) != d(v, w)}: every other landmark adds exactly `bias`.
-So the lane is final once vertices 0..dec are decided, where dec, the
-edge's decision vertex, is the last vertex of D_uv. The search builds its
-columns with the level kernel's builder, with the lanes sorted by decision
-vertex, so after vertex i is decided the decided lanes are the lowest ones.
-With j landmarks taken so far, a decided lane of their sum acc holds
-j*bias plus the edge's final key difference, so the level kernel's test
-for level j applies, under a prefix mask that keeps only the decided lanes'
-top bits: ((acc ^ j*bias*low) - low) & mask == 0. This is exact: a borrow
-moves only upward, the undecided lanes lie above the mask, so no borrow
-from them reaches a tested lane, and on the tested lanes it is the
-kernel's test. The K-end rules prune with the same `_feasible` check, the
-vertices left being the slots.
+Final lanes (both searches, all six variants). Landmark w moves the lane
+or bit of a pair (u, v) only if d(u, w) != d(v, w); otherwise its column
+adds exactly bias to the lane, or leaves the bit clear. `_final_lanes`
+gives final[w], the bits of `full` (high, or every pair's bit for vector
+kinds, whose targets and low are 0) that no column after w moves: each
+later column clears the bits set in (col ^ targets[1]) - low, whose top
+bits are those of the lanes it moves (for vector kinds, its own bits). The
+landmarks chosen after w lie above it, so a pair in final[w] that acc,
+the sum or OR of the j chosen, leaves unresolved stays so in every
+completion. ((acc ^ targets[j]) - low) & final[w] != final[w] finds one,
+exactly and in any lane order: with every top bit set first, subtracting
+low borrows nowhere, and a bit that no later column sets stays clear.
 
-If no W resolves, the plain loop counts every nonempty subset that passes
-the K-end rules, the sum over k = 1..n of `_completions(n, rules, 0, 0, k)`.
-The search returns it, or raises the plain loop's budget
-error (budget, budget) when it exceeds the budget. If some W resolves, the
-search discards it and the level search goes on unchanged, since the
-witness is the first resolving set in the plain loop's order. Finding the
-decision vertices scans n*|E| distance entries, so the membership search
+Membership walk (LMD). Many graphs have an infinite LMD that no
+certificate covers. `_membership_search` decides whether any W that
+passes the K-end rules resolves, by a depth-first walk over i = 0..n-1
+that tries "take vertex i" before "skip it", over the level kernel's own
+columns, targets and final lanes: once i is decided, it prunes with the
+test on final[i], j being the count taken, and with `_feasible`, the
+vertices left being the slots. At i = n every lane has been tested. If no
+W resolves, the search adds `_completions(n, rules, 0, 0, k)` for each
+level k not yet searched, as the plain loop would count them, and raises
+(budget, budget) when the sum passes the budget; if one does, the level
+search goes on for the first witness in the plain loop's order. Most LMD
+values are found at level 1 or 2, where a walk is pure overhead, so it
 runs at most once, before the first level at which the level search has
-counted at least n*|E| subsets: a finite LMD found early never pays for
-it. On wheel:15 (n = 16) it runs before level 4, after 696 subsets, where
-the exhaustion visits 65 535. MD stays on exhaustion.
+counted n*|E| subsets (wheel:15: before level 4, after 696 of 65 535).
+The final lanes are built at the first level >= 3 or walk, and passed to
+`search` rather than held in a closure cell, which the recursive `search`
+keeps for a collection pass. MD stays on the level search.
 
 Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
 DIM_MS, counting the representations a vertex can have, with D the
@@ -172,7 +170,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from bisect import bisect_right
 from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
@@ -313,9 +310,10 @@ def _key_rows(dm):
 
 
 def _packed_columns(keys, pairs, bias):
-    """(cols, low, L): lane i (L bits) of column w holds
-    keys[w][u] - keys[w][v] + bias for pairs[i] = (u, v), and low has a 1
-    in every lane; `bias` exceeds every difference (module docstring)."""
+    """(cols, targets, low, high): lane i (L bits) of column w holds
+    keys[w][u] - keys[w][v] + bias for pairs[i] = (u, v), `bias` exceeding
+    every difference; low has a 1 in every lane, high is every lane's top
+    bit, and targets[k] = k*bias*low | high (module docstring)."""
     n = len(keys)
     L = (2 * n * bias).bit_length() + 1
     E = [0] * n  # E[u]: +1 in the lanes of the pairs (u, v), -1 in (v, u)
@@ -324,56 +322,45 @@ def _packed_columns(keys, pairs, bias):
         E[u] += lane
         E[v] -= lane
     low = ((1 << L * len(pairs)) - 1) // ((1 << L) - 1)
-    return [sum(map(mul, row, E), bias * low) for row in keys], low, L
+    high = low << (L - 1)
+    targets = [k * bias * low | high for k in range(n + 1)]
+    cols = [sum(map(mul, row, E), bias * low) for row in keys]
+    return cols, targets, low, high
 
 
-def _membership_search(g, rules):
-    """Whether some landmark set that passes the K-end rules resolves g for
-    LMD, by a take-before-skip search over the vertices (module docstring).
+def _final_lanes(cols, full, targets, low):
+    """final[w]: the lanes' top bits (multiset kinds) or the bits (vector
+    kinds) of `full` that no column after w moves (module docstring)."""
+    final = [full] * len(cols)
+    for w in range(len(cols) - 1, 0, -1):
+        final[w - 1] = final[w] & ~((cols[w] ^ targets[1]) - low)
+    return final
 
-    Returns (W, count): W a resolving set as a sorted tuple, or None when
-    none exists, and count the nonempty subsets that pass the rules, which
-    is what an exhaustion counts.
-    """
-    dm = all_pairs_distances(g)
-    n, d = g.n, dm.d
-    # dm.d[w][u] is d(u, w); once its decision vertex is decided, an edge's
-    # lane is final
-    decision = {
-        (u, v): max(w for w, row in enumerate(d) if row[u] != row[v])
-        for u, v in g.edges
-    }
-    edges = sorted(g.edges, key=decision.__getitem__)
-    bias = (n + 1) ** dm.diameter
-    cols, low, L = _packed_columns(_key_rows(dm), edges, bias)
-    targets = [j * bias * low for j in range(n + 1)]
-    # masks[i]: the top bits of the lanes decided once vertices 0..i are
-    decided = [decision[e] for e in edges]
-    masks = [
-        (low & ((1 << L * bisect_right(decided, i)) - 1)) << (L - 1)
-        for i in range(n)
-    ]
 
-    def search(i, chosen, j, acc):
+def _membership_search(rules, cols, targets, final, low):
+    """The first landmark set, in take-before-skip order over the vertices,
+    that passes the K-end rules and leaves no final lane 0: a resolving set
+    of LMD as a bitmask, or None when none exists (module docstring)."""
+    n = len(cols)
+
+    def walk(i, chosen, j, acc):
         # vertices 0..i-1 are decided; `chosen` holds the j taken, and acc
         # is the sum of their columns
         if i == n:
             return chosen
+        mask = final[i]
         take = (chosen | 1 << i, j + 1, acc + cols[i])
         for chosen_, j_, acc_ in (take, (chosen, j, acc)):
             if rules and not _feasible(rules, chosen_, i + 1, n - i - 1):
                 continue
-            if ((acc_ ^ targets[j_]) - low) & masks[i]:
+            if ((acc_ ^ targets[j_]) - low) & mask != mask:
                 continue
-            found = search(i + 1, chosen_, j_, acc_)
+            found = walk(i + 1, chosen_, j_, acc_)
             if found is not None:
                 return found
         return None
 
-    W = search(0, 0, 0, 0)
-    if W is not None:
-        W = tuple(w for w in range(n) if W >> w & 1)
-    return W, sum(_completions(n, rules, 0, 0, k) for k in range(1, n + 1))
+    return walk(0, 0, 0, 0)
 
 
 def _first_resolving(g, variant, budget):
@@ -411,7 +398,9 @@ def _first_resolving(g, variant, budget):
             sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
             for row in dm.d
         ]
-        full = (1 << len(pairs)) - 1
+        full = (1 << len(pairs)) - 1  # every pair's bit
+        # all 0, so the final-lane test below reads acc itself
+        targets, low = bytes(n + 1), 0
         extend = or_
 
         def resolves(acc, col):
@@ -428,18 +417,17 @@ def _first_resolving(g, variant, budget):
             for w, row in enumerate(keys):
                 row[w] = -(w + 1) * top
         bias = (n + 1) ** (dm.diameter + (2 if outer else 0))
-        cols, low, L = _packed_columns(keys, pairs, bias)
-        high = low << (L - 1)  # every lane's top bit
-        targets = [k * bias * low for k in range(n + 1)]
+        # full: every lane's top bit, which a lane test leaves set iff the lane is not 0
+        cols, targets, low, full = _packed_columns(keys, pairs, bias)
         extend = add
 
         def resolves(acc, col):
             # k is the level being searched: a lane of y is 0 iff its
             # pair's key difference is 0
             y = (acc + col) ^ targets[k]
-            return (y - low) & high == 0
+            return (y - low) & full == full
 
-    def search(first, depth, prefix, acc):
+    def search(first, depth, prefix, acc, final):
         # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
         if depth > 1:
@@ -447,13 +435,17 @@ def _first_resolving(g, variant, budget):
                 chosen = prefix | 1 << w
                 if rules and not _feasible(rules, chosen, w + 1, depth - 1):
                     continue
-                if twins and depth > 2 and not _feasible(both, chosen, w + 1, depth - 1):
+                acc_ = extend(acc, cols[w])
+                if depth > 2 and (
+                    ((acc_ ^ targets[k - depth + 1]) - low) & final[w] != final[w]
+                    or twins and not _feasible(both, chosen, w + 1, depth - 1)
+                ):
                     # nothing below resolves: count what the plain loop would
                     examined += _completions(n, rules, chosen, w + 1, depth - 1)
                     if examined > limit:
                         raise BudgetExhaustedError(budget, budget)
                     continue
-                found = search(w + 1, depth - 1, chosen, extend(acc, cols[w]))
+                found = search(w + 1, depth - 1, chosen, acc_, final)
                 if found:
                     return found
             return None
@@ -468,15 +460,20 @@ def _first_resolving(g, variant, budget):
         return None
 
     probe = variant is Variant.LMD
+    final = None  # built for the first level or walk that reads it
     for k in range(k_min, n + 1):
-        if probe and examined >= n * len(edges):
+        walk = probe and examined >= n * len(edges)
+        if final is None and (walk or k > 2):
+            final = _final_lanes(cols, full, targets, low)
+        if walk:
             probe = False
-            W, count = _membership_search(g, rules)
-            if W is None:
-                if count > limit:
+            if _membership_search(rules, cols, targets, final, low) is None:
+                # no subset resolves: count the levels left as the plain loop would
+                examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
+                if examined > limit:
                     raise BudgetExhaustedError(budget, budget)
-                return None, count
-        W = search(0, k, 0, 0)
+                return None, examined
+        W = search(0, k, 0, 0, final)
         if W:
             return tuple(w for w in range(n) if W >> w & 1), examined
     return None, examined

@@ -139,9 +139,11 @@ def _edge_amal_ldim_ms(orders):
         # vertices, which the local outer variant ignores; 2 suffices
         return 2
     total = sum(x - 3 for x in orders if x >= 4)
-    # corrected: a single spare K-end vertex still collides with the shared
-    # edge's far endpoint, so one more landmark is needed when the sum is 1
-    return 3 if total == 1 else total + 1
+    # corrected: with a lone clique of order x >= 4 its spare K-end vertex
+    # still collides with the shared edge's far endpoint, so it needs
+    # x - 1 = total + 2 landmarks (edge_amal:2,4 gives 3, edge_amal:2,5,
+    # which is K_5, gives 4)
+    return total + 2 if mge4 == 1 else total + 1
 
 
 def closed_form(spec, variant):

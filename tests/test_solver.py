@@ -317,6 +317,20 @@ def test_widest_lanes_at_the_cap_match_naive():
         assert got == naive[variant].subsets_checked == 1164, variant
 
 
+def lmd_walk(g, rules):
+    """The LMD membership walk over the level kernel's own columns, targets
+    and final lanes, as `_first_resolving` builds them: W as a sorted tuple,
+    or None when no landmark set that passes the rules resolves."""
+    dm = all_pairs_distances(g)
+    keys = solver._key_rows(dm)
+    cols, targets, low, high = solver._packed_columns(
+        keys, g.edges, (g.n + 1) ** dm.diameter
+    )
+    final = solver._final_lanes(cols, high, targets, low)
+    W = solver._membership_search(rules, cols, targets, final, low)
+    return None if W is None else tuple(w for w in range(g.n) if W >> w & 1)
+
+
 def test_longest_exhaustion_matches_naive(classes7, monkeypatch):
     # the infinite-LMD class that only a search proves, of largest diameter
     exhausted = []
@@ -330,34 +344,36 @@ def test_longest_exhaustion_matches_naive(classes7, monkeypatch):
     want = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
     assert want.subsets_checked == 2**g.n - 1
     want = (want.value, want.witness, want.subsets_checked, want.certificate)
-    got = dimension(g, Variant.LMD)  # the membership search answers
+    got = dimension(g, Variant.LMD)  # the membership walk answers
     assert (got.value, got.witness, got.subsets_checked, got.certificate) == want
-    # made to find a W, the membership search leaves the level search to run
-    # to k = n, where every lane sums n columns
-    monkeypatch.setattr(solver, "_membership_search", lambda *args: ((0,), 0))
+    # made to find a W, the walk leaves the level search, with its final-lane
+    # cuts, to run alone to k = n
+    monkeypatch.setattr(solver, "_membership_search", lambda *args: 1)
     got = dimension(g, Variant.LMD)
     assert (got.value, got.witness, got.subsets_checked, got.certificate) == want
 
 
 def test_membership_search_decides_every_class_up_to_7(classes7):
     # every class whose LMD no certificate settles: a W found must pass
-    # certify(), and none found must be an infinite LMD by the oracle; the
-    # count is that of a plain loop over the subsets that pass the
-    # K-end rules (2^n - 1 when there are none)
+    # certify(), and none found must be an infinite LMD by the oracle, which
+    # dimension() counts as a plain loop over the subsets that pass the K-end
+    # rules would; on every class that count is the sum of _completions that
+    # the walk's unsat answer adds (2^n - 1 when there are no rules)
     unsat, sat = Counter(), 0
     for g, _ in classes7:
         if any(c.variant is Variant.LMD for c in infinite_certificates(g)):
             continue
         rules = solver._k_end_rules(g, Variant.LMD)
-        W, count = solver._membership_search(g, rules)
-        if rules or W is None:
-            assert count == plain_count(g, rules, None), g.edges
-        else:
+        count = sum(solver._completions(g.n, rules, 0, 0, k) for k in range(1, g.n + 1))
+        assert count == plain_count(g, rules, None), g.edges
+        if not rules:
             assert count == 2**g.n - 1, g.edges
+        W = lmd_walk(g, rules)
         if W is None:
             unsat[g.n] += 1
             naive = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
             assert naive.is_infinite, g.edges
+            assert dimension(g, Variant.LMD).subsets_checked == count, g.edges
         else:
             sat += 1
             assert certify(g, W, Variant.LMD).valid, (g.edges, W)
@@ -366,28 +382,31 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
 
 
 def test_membership_search_takes_every_vertex_when_they_resolve():
-    # take-before-skip reaches V first, and a decided lane's value is final
-    # there. A path on 0..8 with a leaf 9 at its centre: n = 10, diameter 8,
-    # so 2*n*bias = 20 * 11**8 lies just below 2**32. The lanes of the sum of
+    # take-before-skip reaches V first, and tests every lane there. A path
+    # on 0..8 with a leaf 9 at its centre: n = 10, diameter 8, so
+    # 2*n*bias = 20 * 11**8 lies just below 2**32. The lanes of the sum of
     # all ten columns reach 2**31, which only the spare top bit of L holds.
     g = Graph(10, [(i, i + 1) for i in range(8)] + [(4, 9)])
     assert all_pairs_distances(g).diameter == 8
     assert is_resolving(g, tuple(range(10)), Variant.LMD)
-    assert solver._membership_search(g, []) == (tuple(range(10)), 2**10 - 1)
+    assert lmd_walk(g, []) == tuple(range(10))
 
 
-def test_membership_search_does_not_use_the_oracle_or_the_predicates(monkeypatch):
+def test_membership_search_does_not_use_the_oracle_or_the_predicates(
+    membership_calls, monkeypatch
+):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the membership search called the oracle or a predicate")
+        raise AssertionError("the membership walk called the oracle or a predicate")
 
     monkeypatch.setattr(solver, "naive_all_dimensions", forbidden)
     for module in (multisets, solver):
         for name, obj in list(vars(module).items()):
             if inspect.isfunction(obj) and obj.__module__ == multisets.__name__:
                 monkeypatch.setattr(module, name, forbidden)
-    W, count = solver._membership_search(gen_wheel(15), [])
-    assert (W, count) == (None, 2**16 - 1)
-    W, _ = solver._membership_search(gen_wheel(8), [])
+    got = dimension(gen_wheel(15), Variant.LMD)
+    assert (got.value, got.subsets_checked) == (INFINITE, 2**16 - 1)
+    assert membership_calls == [None]
+    W = lmd_walk(gen_wheel(8), [])
     assert W is not None
     monkeypatch.undo()
     assert certify(gen_wheel(8), W, Variant.LMD).valid
@@ -395,7 +414,7 @@ def test_membership_search_does_not_use_the_oracle_or_the_predicates(monkeypatch
 
 @pytest.fixture
 def membership_calls(monkeypatch):
-    """The results of every membership search that dimension() runs."""
+    """The results of every membership walk that dimension() runs."""
     calls = []
     search = solver._membership_search
 
@@ -415,7 +434,9 @@ def test_budget_at_the_unsat_boundary_of_the_membership_search(membership_calls)
     with pytest.raises(BudgetExhaustedError) as info:
         dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=65534))
     assert (info.value.examined, info.value.budget) == (65534, 65534)
-    assert membership_calls == [(None, 65535), (None, 65535)]
+    # the walk decided both, and the count of the levels it skipped passed
+    # the smaller budget
+    assert membership_calls == [None, None]
 
 
 def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
@@ -434,6 +455,9 @@ def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
     with pytest.raises(BudgetExhaustedError) as info:
         dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=31))
     assert (info.value.examined, info.value.budget) == (31, 31)
+    # n * |E| = 54 exceeds the 32 subsets counted, so the level search
+    # decides it before the walk would run
+    assert membership_calls == []
 
 
 # --- twin rules: every resolving set obeys them, and what they cut is counted
@@ -538,6 +562,41 @@ def test_budget_around_a_twin_cut(variant, monkeypatch):
         dimension(g, variant, opts=SolverOptions(subset_budget=170))
     assert (info.value.examined, info.value.budget) == (170, 170)
     assert calls == [((0, 0, 1), 15), ((1, 1, 2), 91)]
+
+
+def test_what_is_counted_by_arithmetic_never_resolves(classes7, monkeypatch):
+    # every subset that dimension() counts without testing it, in a skipped
+    # level, under a twin or final-lane cut, or in the walk's unsat count, is
+    # one of the subsets a _completions call counts; by the definitions in
+    # multisets, not by the kernel, none of them resolves
+    calls = []
+    completions = solver._completions
+
+    def recording(n, rules, chosen, first, slots):
+        calls.append((chosen, first, slots))
+        return completions(n, rules, chosen, first, slots)
+
+    monkeypatch.setattr(solver, "_completions", recording)
+    tested = Counter()
+    for g, _ in classes7:
+        for variant in Variant:
+            calls.clear()
+            dimension(g, variant)
+            for chosen, first, slots in calls:
+                prefix = tuple(w for w in range(first) if chosen >> w & 1)
+                for rest in combinations(range(first, g.n), slots):
+                    W = prefix + rest
+                    assert not is_resolving(g, W, variant), (variant, g.edges, W)
+                    tested[variant.name] += 1
+    # subsets counted untested; most lie in levels that level_lower_bound skips
+    assert dict(tested) == {
+        "DIM": 17534,
+        "LDIM": 1015,
+        "MD": 8429,
+        "DIM_MS": 19630,
+        "LMD": 5853,
+        "LDIM_MS": 536,
+    }
 
 
 def test_md_with_a_closed_twin_triple_is_infinite_without_a_search(

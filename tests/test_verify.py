@@ -46,6 +46,7 @@ def exact(text, variant):
         ("amal:3,3,3", Variant.LDIM_MS, 3),
         ("edge_amal:4,4", Variant.LMD, 3),
         ("edge_amal:3,3,3", Variant.LDIM_MS, 2),
+        ("edge_amal:2,5", Variant.LDIM_MS, 4),
         ("unicyclic:4/1", Variant.LMD, 1),
         ("unicyclic:5/0,0", Variant.LDIM_MS, 2),
         ("gadget:8", Variant.LMD, 3),
@@ -75,6 +76,9 @@ def test_closed_form_raises_outside_coverage():
         ("amal:3,1", Variant.LMD),
         ("edge_amal:3,2", Variant.LMD),
         ("edge_amal:4,3", Variant.LDIM_MS),
+        # refutes the uncorrected ldim_ms form for a lone clique of order
+        # >= 5: K_5 itself, where it gave 3
+        ("edge_amal:2,5", Variant.LDIM_MS),
         ("unicyclic:3/0", Variant.LDIM_MS),
         ("gadget:4", Variant.LDIM_MS),
     ],
@@ -120,6 +124,14 @@ def test_wheel_path_structure_examples():
 def test_run_theorem_families_pass():
     for tid in ("cycles", "complete", "unicyclic", "chromatic_bound"):
         check = run_theorem(tid)
+        assert check.passed, check.to_json_dict()
+
+
+def test_run_theorem_edge_amal_beyond_the_default_orders():
+    # cliques of order up to 7 (up to 6 in four cliques) reach the lone
+    # clique of order >= 5 that the default max_order=4 never builds
+    for params in ({"max_order": 7, "sizes": (2, 3)}, {"max_order": 6, "sizes": (4,)}):
+        check = run_theorem("edge_amal", **params)
         assert check.passed, check.to_json_dict()
 
 
