@@ -51,21 +51,6 @@ class FamilySpec:
         return f"{self.tag}:{','.join(map(str, self.numbers))}"
 
 
-_TAGS = {
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "wheel",
-    "amal",
-    "edge_amal",
-    "corona",
-    "join",
-    "unicyclic",
-    "gadget",
-}
-
-
 def _ints(text, what):
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -77,7 +62,7 @@ def parse_family_spec(text):
     text = text.strip()
     tag, sep, rest = text.partition(":")
     tag = tag.strip().lower().replace("edgeamal", "edge_amal")
-    if tag not in _TAGS:
+    if tag not in _BUILDERS:
         raise GraphValidationError(f"unknown family {tag!r}")
     if not sep or not rest:
         raise GraphValidationError(f"family {tag!r} needs parameters")
@@ -217,8 +202,9 @@ def gen_clique_gadget(n):
 
     A clique K_{2^k} whose vertices are told apart by parity patterns of
     their distances to the far ends of k pendant paths of lengths 2, 4, ...,
-    2k; for 2^{k-1} < n < 2^k the lexicographically first mixed-parity clique
-    vertices are deleted.
+    2k. Clique vertex u_j has only entry j even and v_0 has every entry
+    even; v_1, v_2, ... take the mixed-parity vectors in ascending order and
+    then the all-odd one. For 2^{k-1} < n < 2^k, v_1..v_{2^k-n} are left out.
     """
     _require(n >= 2, "clique gadget needs n >= 2")
     if n == 2:
@@ -226,102 +212,56 @@ def gen_clique_gadget(n):
             graph=gen_complete(2), landmarks=(0,), clique=(0, 1), labels={}
         )
     k = (n - 1).bit_length()
-    full = 1 << k
+    even = tuple(2 * j for j in range(1, k + 1))
+    odd = tuple(2 * j + 1 for j in range(1, k + 1))
+    single_even = [tuple(even[i] if i == j else odd[i] for i in range(k)) for j in range(k)]
+    # product yields the vectors in ascending order
+    mixed = [
+        vec
+        for vec in product(*zip(even, odd))
+        if 1 < sum(a % 2 == 0 for a in vec) < k
+    ]
+    labels = dict(enumerate(single_even + [even] + (mixed + [odd])[(1 << k) - n :]))
 
-    vectors = list(product(*[(2 * j, 2 * j + 1) for j in range(1, k + 1)]))
-    all_even = tuple(2 * j for j in range(1, k + 1))
-    all_odd = tuple(2 * j + 1 for j in range(1, k + 1))
-    single_even = {}
-    mixed = []
-    for vec in vectors:
-        evens = [j for j, a in enumerate(vec, start=1) if a % 2 == 0]
-        if len(evens) == k or len(evens) == 0:
-            continue
-        if len(evens) == 1:
-            single_even[evens[0]] = vec
-        else:
-            mixed.append(vec)
-    mixed.sort()
-
-    # Full Case-1 ids: u_j -> j-1, v_0 -> k, v_i -> k+i, then path vertices.
-    u_id = {j: j - 1 for j in range(1, k + 1)}
-    v_count = full - k  # v_0 .. v_{2^k - k - 1}
-    v_id = {i: k + i for i in range(v_count)}
-    labels_full = {u_id[j]: single_even[j] for j in range(1, k + 1)}
-    labels_full[v_id[0]] = all_even
-    labels_full[v_id[v_count - 1]] = all_odd
-    for i, vec in enumerate(mixed, start=1):
-        labels_full[v_id[i]] = vec
-
-    clique_full = list(range(k + v_count))
-    edges = list(combinations(clique_full, 2))
-    nxt = k + v_count
-    path_first = {}  # j -> u_{j,1}
-    landmarks_full = []
-    for j in range(1, k + 1):
-        prev = u_id[j]
-        for s in range(1, 2 * j + 1):
-            edges.append((prev, nxt))
-            if s == 1:
-                path_first[j] = nxt
-            prev = nxt
-            nxt += 1
-        landmarks_full.append(prev)  # u_{j,2j}
-    for i in range(v_count):
-        vec = labels_full[v_id[i]]
-        for j in range(1, k + 1):
-            if vec[j - 1] == 2 * j:
-                edges.append((path_first[j], v_id[i]))
-
-    deleted = {v_id[i] for i in range(1, full - n + 1)} if n < full else set()
-    if not deleted:
-        g = Graph(nxt, edges)
-        return CliqueGadget(
-            graph=g,
-            landmarks=tuple(landmarks_full),
-            clique=tuple(clique_full),
-            labels=dict(labels_full),
-        )
-    kept = [v for v in range(nxt) if v not in deleted]
-    remap = {v: i for i, v in enumerate(kept)}
-    g = Graph(
-        len(kept),
-        [(remap[u], remap[v]) for u, v in edges if u not in deleted and v not in deleted],
-    )
+    edges = list(combinations(range(n), 2))
+    landmarks = []
+    nxt = n  # first vertex of the next pendant path
+    for j in range(k):
+        # the path of 2j + 2 vertices starts at a neighbour of u_j and of
+        # every clique vertex whose entry j is even
+        edges += [(v, nxt) for v, vec in labels.items() if vec[j] % 2 == 0]
+        edges += [(s, s + 1) for s in range(nxt, nxt + 2 * j + 1)]
+        nxt += 2 * j + 2
+        landmarks.append(nxt - 1)
     return CliqueGadget(
-        graph=g,
-        landmarks=tuple(remap[v] for v in landmarks_full),
-        clique=tuple(remap[v] for v in clique_full if v not in deleted),
-        labels={remap[v]: vec for v, vec in labels_full.items() if v not in deleted},
+        graph=Graph(nxt, edges),
+        landmarks=tuple(landmarks),
+        clique=tuple(range(n)),
+        labels=labels,
     )
+
+
+_BUILDERS = {
+    "path": lambda spec: gen_path(*spec.numbers),
+    "cycle": lambda spec: gen_cycle(*spec.numbers),
+    "complete": lambda spec: gen_complete(*spec.numbers),
+    "star": lambda spec: gen_star(*spec.numbers),
+    "wheel": lambda spec: gen_wheel(*spec.numbers),
+    "amal": lambda spec: gen_amal(spec.numbers),
+    "edge_amal": lambda spec: gen_edge_amal(spec.numbers),
+    "corona": lambda spec: gen_corona(gen(spec.subs[0]), spec.numbers),
+    "join": lambda spec: gen_join(gen(spec.subs[0]), gen(spec.subs[1])),
+    "unicyclic": lambda spec: gen_unicyclic(spec.numbers[0], spec.numbers[1:]),
+    "gadget": lambda spec: gen_clique_gadget(*spec.numbers).graph,
+}
 
 
 def gen(spec):
     """Build the graph a FamilySpec describes; always connected."""
-    tag = spec.tag
-    if tag == "path":
-        return gen_path(*spec.numbers)
-    if tag == "cycle":
-        return gen_cycle(*spec.numbers)
-    if tag == "complete":
-        return gen_complete(*spec.numbers)
-    if tag == "star":
-        return gen_star(*spec.numbers)
-    if tag == "wheel":
-        return gen_wheel(*spec.numbers)
-    if tag == "amal":
-        return gen_amal(spec.numbers)
-    if tag == "edge_amal":
-        return gen_edge_amal(spec.numbers)
-    if tag == "corona":
-        return gen_corona(gen(spec.subs[0]), spec.numbers)
-    if tag == "join":
-        return gen_join(gen(spec.subs[0]), gen(spec.subs[1]))
-    if tag == "unicyclic":
-        return gen_unicyclic(spec.numbers[0], spec.numbers[1:])
-    if tag == "gadget":
-        return gen_clique_gadget(*spec.numbers).graph
-    raise GraphValidationError(f"unknown family {tag!r}")
+    build = _BUILDERS.get(spec.tag)
+    if build is None:
+        raise GraphValidationError(f"unknown family {spec.tag!r}")
+    return build(spec)
 
 
 def graph_from_mask(n, mask):

@@ -495,40 +495,31 @@ def dimension(g, variant, opts=None):
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
-
+    W, examined, certificate = None, 0, None
     if not variant.always_finite:
-        for cert in infinite_certificates(g, cap=opts.cap):
-            if cert.variant is variant:
-                return DimensionResult(
-                    variant=variant,
-                    value=INFINITE,
-                    witness=None,
-                    subsets_checked=0,
-                    certificate=f"{cert.kind}: {cert.description}",
-                    elapsed_ms=_elapsed_ms(t0),
+        certificate = next(
+            (
+                f"{cert.kind}: {cert.description}"
+                for cert in infinite_certificates(g, cap=opts.cap)
+                if cert.variant is variant
+            ),
+            None,
+        )
+    if certificate is None:
+        W, examined = _first_resolving(g, variant, budget)
+        if W is None:
+            if variant.always_finite:
+                raise RuntimeError(
+                    f"internal error: {variant.name} found no resolving set among"
+                    f" all 2^{g.n} - 1 subsets, but it is always finite"
                 )
-
-    W, examined = _first_resolving(g, variant, budget)
-    if W is not None:
-        return DimensionResult(
-            variant=variant,
-            value=len(W),
-            witness=W,
-            subsets_checked=examined,
-            certificate=None,
-            elapsed_ms=_elapsed_ms(t0),
-        )
-    if variant.always_finite:
-        raise RuntimeError(
-            f"internal error: {variant.name} found no resolving set among all"
-            f" 2^{g.n} - 1 subsets, but it is always finite"
-        )
+            certificate = f"exhausted all 2^{g.n} - 1 subsets"
     return DimensionResult(
         variant=variant,
-        value=INFINITE,
-        witness=None,
+        value=INFINITE if W is None else len(W),
+        witness=W,
         subsets_checked=examined,
-        certificate=f"exhausted all 2^{g.n} - 1 subsets",
+        certificate=certificate,
         elapsed_ms=_elapsed_ms(t0),
     )
 

@@ -224,16 +224,7 @@ class TheoremCheck:
         )
 
     def add_flag(self, instance, quantity, ok, note=""):
-        self.instances.append(
-            InstanceCheck(
-                instance=str(instance),
-                quantity=quantity,
-                expected=True,
-                computed=bool(ok),
-                ok=bool(ok),
-                note=note,
-            )
-        )
+        self.add(instance, quantity, True, bool(ok), note)
 
     def failures(self):
         return [c for c in self.instances if not c.ok]

@@ -122,7 +122,8 @@ def test_lower_bounds_skips_above_caps_but_keeps_clique_log():
 
 
 def test_lower_bounds_lists_skipped_k_end_certificate():
-    # lmd(K_25) is infinite, but above the omega cap no clique is enumerated
+    # lmd(K_25) is infinite; triple_k_end needs no clique enumeration, but it
+    # is left out above the omega cap so that the bounds output does not change
     report = lower_bounds(gen_complete(25))
     assert [c.kind for c in report.certificates] == ["diam_le_2"]
     assert any(note.startswith("clique_log") for note in report.skipped)

@@ -24,7 +24,7 @@ from multires.generators import (
     graph_from_mask,
     parse_family_spec,
 )
-from multires.graph import Graph, all_pairs_distances, clique_number
+from multires.graph import Graph, all_pairs_distances, clique_number, to_graph6
 from multires.multisets import Variant
 from multires.solver import certify
 from strategies import connected_graphs
@@ -64,6 +64,12 @@ def test_spec_parse_accepts_edgeamal_alias():
 def test_spec_parse_errors(text):
     with pytest.raises(GraphValidationError):
         parse_family_spec(text)
+
+
+def test_gen_rejects_unknown_tag():
+    # a FamilySpec built directly never passes through parse_family_spec
+    with pytest.raises(GraphValidationError):
+        gen(FamilySpec("housing", (3,)))
 
 
 def test_wheel_layout():
@@ -124,10 +130,30 @@ def test_clique_gadget_structure(n):
 
 
 def test_clique_gadget_labels_match_distances():
-    gadget = gen_clique_gadget(8)
-    dm = all_pairs_distances(gadget.graph)
-    for v, vec in gadget.labels.items():
-        assert tuple(dm.d[v][w] for w in gadget.landmarks) == vec
+    # n = 3 and 5..7, 9..15, 17..31 leave clique vertices out; 4, 8, 16, 32 do not
+    for n in range(3, 33):
+        gadget = gen_clique_gadget(n)
+        dm = all_pairs_distances(gadget.graph)
+        assert sorted(gadget.labels) == list(gadget.clique)
+        for v, vec in gadget.labels.items():
+            assert tuple(dm.d[v][w] for w in gadget.landmarks) == vec
+
+
+@pytest.mark.parametrize(
+    "n,graph6,landmarks",
+    [
+        # n = 3 leaves out the all-odd vertex; 5..7 leave out mixed ones
+        (3, "H|D_GC@", (4, 8)),
+        (5, "P~}OI_@?G?e??@??_?G?@??C", (6, 10, 16)),
+        (6, "Q~~{_DW?G?_@M???_?G?@??C??G", (7, 11, 17)),
+        (7, "R~~~{o@T??_@?@N???G?@??C??G??G", (8, 12, 18)),
+    ],
+)
+def test_clique_gadget_labelling_is_pinned(n, graph6, landmarks):
+    # the labelling fixes the solver's witnesses on gadget graphs
+    gadget = gen_clique_gadget(n)
+    assert to_graph6(gadget.graph) == graph6
+    assert gadget.landmarks == landmarks
 
 
 def test_graph_from_mask():
