@@ -1,8 +1,8 @@
 """Exact resolvability invariants of connected graphs.
 
-Six dimension variants built from (representation kind, comparison scope):
-vector or multiset representations, compared over all pairs, adjacent pairs,
-pairs outside the landmark set, or adjacent pairs outside it.
+Six dimension variants built from a representation kind (vector or multiset)
+and the pairs compared: all pairs or adjacent pairs only, with or without the
+pairs that have an end in the landmark set.
 """
 
 from .bounds import (

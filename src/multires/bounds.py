@@ -109,7 +109,7 @@ def level_lower_bound(g, variant):
 
     The local variants get the trivial 1.
     """
-    if g.n == 1 or variant.scope not in ("all", "outer"):
+    if g.n == 1 or variant.adjacent:
         return 1
     n, D = g.n, all_pairs_distances(g).diameter
 

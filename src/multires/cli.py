@@ -20,7 +20,7 @@ from .errors import (
 from .generators import all_connected, gen, parse_family_spec
 from .graph import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .multisets import Variant
-from .solver import SOLVER_CAP_DEFAULT, SolverOptions, certify, dimension
+from .solver import SOLVER_CAP_DEFAULT, SolverOptions, certify, dimension, show_value
 from .verify import THEOREMS, run_theorem
 
 EXIT_OK = 0
@@ -78,10 +78,6 @@ def _emit(args, payload, table_lines):
             print(line)
 
 
-def _show(value):
-    return "infinity" if value == float("inf") else int(value)
-
-
 def cmd_compute(args):
     g = _read_graph(args)
     opts = SolverOptions(subset_budget=args.budget, cap=_solver_cap())
@@ -93,7 +89,7 @@ def cmd_compute(args):
     lines = [f"{'variant':<8} {'value':>8}  witness"]
     for v, r in results.items():
         witness = "-" if r.witness is None else ",".join(map(str, r.witness))
-        lines.append(f"{v.name.lower():<8} {str(_show(r.value)):>8}  {witness}")
+        lines.append(f"{v.name.lower():<8} {str(show_value(r.value)):>8}  {witness}")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -188,7 +188,8 @@ class CliqueGadget:
 
     labels maps each clique vertex to its k-vector of distances to the
     landmarks (entry j is 2j when realized through the shortcut edge to the
-    j-th pendant path, 2j+1 otherwise).
+    j-th pendant path, 2j+1 otherwise). n = 2 has no pendant paths: the
+    graph is K_2 with landmark 0, and labels is empty.
     """
 
     graph: Graph

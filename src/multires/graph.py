@@ -176,17 +176,14 @@ def parse_graph6(text):
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError("truncated or oversized graph6 bit vector")
-    bits = []
-    for b in body:
-        for k in range(5, -1, -1):
-            bits.append((b >> k) & 1)
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    bits = "".join(f"{b:06b}" for b in body)
+    # row v, the pairs (0, v) .. (v - 1, v), starts at bit v(v - 1)/2
+    edges = [
+        (u, v)
+        for v in range(1, n)
+        for u, bit in enumerate(bits[v * (v - 1) // 2 : v * (v + 1) // 2])
+        if bit == "1"
+    ]
     g = Graph(n, edges)
     g.check_connected()
     return g
@@ -200,21 +197,13 @@ def to_graph6(g):
     n = g.n
     if n > 258047:
         raise GraphValidationError("graph6 encoder supports n <= 258047")
-    bits = []
-    adj = g.adj
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if u in adj[v] else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = ["0"] * (n * (n - 1) // 2)  # pair (u, v), u < v, is bit v(v - 1)/2 + u
+    for u, v in g.edges:
+        bits[v * (v - 1) // 2 + u] = "1"
+    bits = "".join(bits) + "0" * (-len(bits) % 6)
     header = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
-    out = [chr(b + 63) for b in header]
-    for i in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[i : i + 6]:
-            b = (b << 1) | bit
-        out.append(chr(b + 63))
-    return "".join(out)
+    body = [int(bits[i : i + 6], 2) for i in range(0, len(bits), 6)]
+    return "".join(chr(b + 63) for b in header + body)
 
 
 def to_edge_list(g):

@@ -1,9 +1,10 @@
 """Representations, distance multisets and the six resolving predicates.
 
 Each dimension variant combines a representation kind (ordered vector or
-sorted multiset) with a scope (which vertex pairs must be distinguished).
-The predicates read only the landmarks' distance rows, never the whole
-distance matrix.
+sorted multiset) with two choices of the vertex pairs that must be
+distinguished: all pairs or only the edges, and whether pairs with an end in
+W drop out. The predicates read only the landmarks' distance rows, never the
+whole distance matrix.
 """
 
 from enum import Enum
@@ -17,24 +18,25 @@ class Variant(Enum):
     """The six resolvability variants.
 
     kind: "vector" (ordered landmark list) or "multiset" (bag of distances).
-    scope: "all" (all distinct pairs), "adjacent" (edges), "outer" (distinct
-    pairs outside W), "adjacent_outer" (edges with both ends outside W).
+    adjacent: only the edges are compared, not all distinct pairs.
+    outer: pairs with an end in W are dropped.
     """
 
-    DIM = ("vector", "all")
-    LDIM = ("vector", "adjacent")
-    MD = ("multiset", "all")
-    DIM_MS = ("multiset", "outer")
-    LMD = ("multiset", "adjacent")
-    LDIM_MS = ("multiset", "adjacent_outer")
+    DIM = ("vector", False, False)
+    LDIM = ("vector", True, False)
+    MD = ("multiset", False, False)
+    DIM_MS = ("multiset", False, True)
+    LMD = ("multiset", True, False)
+    LDIM_MS = ("multiset", True, True)
 
-    def __init__(self, kind, scope):
+    def __init__(self, kind, adjacent, outer):
         self.kind = kind
-        self.scope = scope
-        # MD and LMD, the multiset kinds whose scope also compares the
-        # landmarks, can be infinite; the other four never are. A plain
-        # attribute, since the solver reads it on every solve.
-        self.always_finite = not (kind == "multiset" and scope in ("all", "adjacent"))
+        self.adjacent = adjacent
+        self.outer = outer
+        # MD and LMD, the multiset kinds that also compare the landmarks,
+        # can be infinite; the other four never are. A plain attribute,
+        # since the solver reads it on every solve.
+        self.always_finite = kind == "vector" or outer
 
     @classmethod
     def from_name(cls, name):
@@ -55,19 +57,13 @@ def vertex_keys(rows, kind):
     return [tuple(sorted(dists)) for dists in zip(*rows)]
 
 
-def scope_pairs(g, W, scope):
+def scope_pairs(g, W, variant):
     """The unordered vertex pairs a resolving set must distinguish."""
-    if scope == "all":
-        return combinations(range(g.n), 2)
-    if scope == "adjacent":
-        return iter(g.edges)
-    Wset = set(W)
-    if scope == "outer":
-        outside = [u for u in range(g.n) if u not in Wset]
-        return combinations(outside, 2)
-    if scope == "adjacent_outer":
-        return ((u, v) for u, v in g.edges if u not in Wset and v not in Wset)
-    raise ValueError(f"unknown scope {scope!r}")
+    pairs = iter(g.edges) if variant.adjacent else combinations(range(g.n), 2)
+    if variant.outer:
+        Wset = set(W)
+        pairs = ((u, v) for u, v in pairs if u not in Wset and v not in Wset)
+    return pairs
 
 
 def _check_W(g, W):
@@ -86,15 +82,15 @@ def is_resolving(g, W, variant):
 def violating_pairs(g, W, variant):
     """All in-scope pairs with equal representations, sorted; empty iff resolving.
 
-    The all and outer scopes group their vertices by key: the pairs inside
-    each group, sorted, are those a scan of `scope_pairs` would find.
+    Unless only edges are compared, the vertices (those outside W for the
+    outer variants) are grouped by key: the pairs inside each group, sorted,
+    are those a scan of `scope_pairs` would find.
     """
     _check_W(g, W)
     keys = vertex_keys([distance_row(g, w) for w in sorted(W)], variant.kind)
-    scope = variant.scope
-    if scope in ("adjacent", "adjacent_outer"):
-        return [(u, v) for u, v in scope_pairs(g, W, scope) if keys[u] == keys[v]]
-    Wset = set(W) if scope == "outer" else ()
+    if variant.adjacent:
+        return [(u, v) for u, v in scope_pairs(g, W, variant) if keys[u] == keys[v]]
+    Wset = set(W) if variant.outer else ()
     groups = {}
     for u, key in enumerate(keys):
         if u not in Wset:

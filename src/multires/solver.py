@@ -179,6 +179,12 @@ from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
 
+
+def show_value(value):
+    """`value` as JSON shows it: "infinity" for INFINITE, else unchanged."""
+    return "infinity" if value == INFINITE else value
+
+
 SOLVER_CAP_DEFAULT = 20
 
 
@@ -211,7 +217,7 @@ class DimensionResult:
     def to_json_dict(self):
         return {
             "variant": self.variant.name.lower(),
-            "value": "infinity" if self.is_infinite else int(self.value),
+            "value": show_value(self.value),
             "witness": None if self.witness is None else list(self.witness),
             "certificate": self.certificate,
             "subsets_checked": self.subsets_checked,
@@ -237,9 +243,9 @@ class Certificate:
 
 def _k_end_rules(g, variant):
     """The K-end rules (mask, at_least, at_most) of LMD and LDIM_MS, none for
-    the other variants (module docstring). Told apart by kind and scope, as
-    an Enum member lookup is slow on the path of every solve."""
-    if variant.kind == "vector" or variant.scope not in ("adjacent", "adjacent_outer"):
+    the other variants (module docstring). Told apart by the variant's flags,
+    as an Enum member lookup is slow on the path of every solve."""
+    if variant.kind == "vector" or not variant.adjacent:
         return []
     at_most = g.n if variant.always_finite else 1  # 1 for LMD
     return [
@@ -269,7 +275,7 @@ def _twin_rules(g, variant):
     every resolving set obeys (module docstring). A class of three or more
     under MD or LMD gets at_least > at_most: no set obeys it."""
     at_most = g.n if variant.always_finite else 1  # 1 for MD and LMD
-    kinds = (True, False) if variant.scope in ("all", "outer") else (True,)
+    kinds = (True,) if variant.adjacent else (True, False)
     return [
         (sum(1 << v for v in vs), len(vs) - 1, at_most)
         for closed in kinds
@@ -370,7 +376,7 @@ def _first_resolving(g, variant, budget):
     the subsets that pass the K-end rules.
     """
     dm = all_pairs_distances(g)
-    n, edges, scope = g.n, g.edges, variant.scope
+    n, edges = g.n, g.edges
     limit = math.inf if budget is None else budget
     rules = _k_end_rules(g, variant)
     # the twin rules that repeat no K-end rule; they only prune, and the
@@ -391,7 +397,7 @@ def _first_resolving(g, variant, budget):
         return None, examined
 
     # in-scope pairs; the sentinels below settle outer pairs with an end in W
-    pairs = list(combinations(range(n), 2)) if scope in ("all", "outer") else edges
+    pairs = edges if variant.adjacent else list(combinations(range(n), 2))
     if variant.kind == "vector":
         # bit i of column w is set when w separates pairs[i] (dm.d[w][u] is d(u, w))
         cols = [
@@ -408,15 +414,14 @@ def _first_resolving(g, variant, budget):
 
     else:
         keys = _key_rows(dm)
-        outer = scope in ("outer", "adjacent_outer")
-        if outer:
+        if variant.outer:
             # a landmark's own entry is a sentinel: `top` exceeds every key,
             # so the key of w in W lies in [-(w+1)*top, -w*top), below every
             # key outside W and apart from the other landmarks' keys
             top = (n + 1) ** (dm.diameter + 1)
             for w, row in enumerate(keys):
                 row[w] = -(w + 1) * top
-        bias = (n + 1) ** (dm.diameter + (2 if outer else 0))
+        bias = (n + 1) ** (dm.diameter + (2 if variant.outer else 0))
         # full: every lane's top bit, which a lane test leaves set iff the lane is not 0
         cols, targets, low, full = _packed_columns(keys, pairs, bias)
         extend = add
@@ -538,7 +543,7 @@ def naive_all_dimensions(g, variants=None):
         variants = list(Variant)
     n = g.n
     pending = set(variants)
-    found = {}
+    settled = {}  # variant -> (W, examined, elapsed_ms) when found
     examined = 0
     for k in range(1, n + 1):
         if not pending:
@@ -551,28 +556,24 @@ def naive_all_dimensions(g, variants=None):
                     rows = [dm.d[w] for w in W]
                     keys_by_kind[variant.kind] = vertex_keys(rows, variant.kind)
                 keys = keys_by_kind[variant.kind]
-                if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant.scope)):
-                    found[variant] = DimensionResult(
-                        variant=variant,
-                        value=k,
-                        witness=W,
-                        subsets_checked=examined,
-                        certificate=None,
-                        elapsed_ms=_elapsed_ms(t0),
-                    )
+                if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant)):
+                    settled[variant] = (W, examined, _elapsed_ms(t0))
                     pending.discard(variant)
             if not pending:
                 break
-    for variant in pending:
-        found[variant] = DimensionResult(
+    exhausted = (None, examined, _elapsed_ms(t0))
+    results = {}
+    for variant in variants:
+        W, count, ms = settled.get(variant, exhausted)
+        results[variant] = DimensionResult(
             variant=variant,
-            value=INFINITE,
-            witness=None,
-            subsets_checked=examined,
-            certificate=f"exhausted all 2^{n} - 1 subsets",
-            elapsed_ms=_elapsed_ms(t0),
+            value=INFINITE if W is None else len(W),
+            witness=W,
+            subsets_checked=count,
+            certificate=f"exhausted all 2^{n} - 1 subsets" if W is None else None,
+            elapsed_ms=ms,
         )
-    return {v: found[v] for v in variants}
+    return results
 
 
 def certify(g, W, variant):

@@ -28,7 +28,7 @@ from .generators import (
 )
 from .graph import all_pairs_distances, bipartition, clique_number, twin_classes, two_core
 from .multisets import Variant, is_resolving
-from .solver import INFINITE, certify, dimension, naive_all_dimensions
+from .solver import INFINITE, certify, dimension, naive_all_dimensions, show_value
 
 
 def _ceil_div(a, b):
@@ -230,9 +230,6 @@ class TheoremCheck:
         return [c for c in self.instances if not c.ok]
 
     def to_json_dict(self):
-        def show(v):
-            return "infinity" if v == INFINITE else v
-
         return {
             "theorem": self.theorem_id,
             "passed": self.passed,
@@ -241,8 +238,8 @@ class TheoremCheck:
                 {
                     "instance": c.instance,
                     "quantity": c.quantity,
-                    "expected": show(c.expected),
-                    "computed": show(c.computed),
+                    "expected": show_value(c.expected),
+                    "computed": show_value(c.computed),
                     "note": c.note,
                 }
                 for c in self.failures()
@@ -368,7 +365,7 @@ def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), 
     wanted = {Variant.from_name(v) for v in variants}
     for n in range(n_lo, n_hi + 1):
         g = gen(FamilySpec("wheel", (n,)))
-        for variant, outer in ((Variant.LMD, False), (Variant.LDIM_MS, True)):
+        for variant in LOCAL_VARIANTS:
             if variant not in wanted:
                 continue
             result = dimension(g, variant)
@@ -378,7 +375,7 @@ def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), 
                 check.add_flag(
                     f"wheel:{n} W={W}",
                     f"{variant.name.lower()}_path_structure",
-                    wheel_path_structure(n, W, outer),
+                    wheel_path_structure(n, W, variant.outer),
                 )
 
 

@@ -147,6 +147,8 @@ def test_clique_gadget_labels_match_distances():
         (5, "P~}OI_@?G?e??@??_?G?@??C", (6, 10, 16)),
         (6, "Q~~{_DW?G?_@M???_?G?@??C??G", (7, 11, 17)),
         (7, "R~~~{o@T??_@?@N???G?@??C??G??G", (8, 12, 18)),
+        # n = 2 is K_2 itself, with no pendant paths and no labels
+        (2, "A_", (0,)),
     ],
 )
 def test_clique_gadget_labelling_is_pinned(n, graph6, landmarks):

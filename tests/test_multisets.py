@@ -24,10 +24,19 @@ def test_variant_lookup():
 
 
 def test_variant_finiteness():
-    assert not Variant.MD.always_finite
-    assert not Variant.LMD.always_finite
-    for v in (Variant.DIM, Variant.LDIM, Variant.DIM_MS, Variant.LDIM_MS):
-        assert v.always_finite
+    # the README's table: (kind, only edges compared, pairs with an end in W
+    # dropped, never infinite)
+    table = {
+        Variant.DIM: ("vector", False, False, True),
+        Variant.LDIM: ("vector", True, False, True),
+        Variant.MD: ("multiset", False, False, False),
+        Variant.DIM_MS: ("multiset", False, True, True),
+        Variant.LMD: ("multiset", True, False, False),
+        Variant.LDIM_MS: ("multiset", True, True, True),
+    }
+    assert list(table) == list(Variant)
+    for v, facts in table.items():
+        assert (v.kind, v.adjacent, v.outer, v.always_finite) == facts
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,14 +67,20 @@ def test_vertex_keys_vector_follows_row_order():
 
 def test_scope_pairs():
     g = gen_star(3)  # center 0, leaves 1..3
-    assert sorted(scope_pairs(g, (), "all")) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-    ]
-    assert sorted(scope_pairs(g, (), "adjacent")) == [(0, 1), (0, 2), (0, 3)]
-    assert sorted(scope_pairs(g, (1,), "outer")) == [(0, 2), (0, 3), (2, 3)]
-    assert sorted(scope_pairs(g, (0,), "adjacent_outer")) == []
-    with pytest.raises(ValueError):
-        list(scope_pairs(g, (), "sideways"))
+    every = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = [(0, 1), (0, 2), (0, 3)]
+    want = {
+        Variant.DIM: every,
+        Variant.MD: every,
+        Variant.LDIM: edges,
+        Variant.LMD: edges,
+        Variant.DIM_MS: [(0, 2), (0, 3), (2, 3)],
+        Variant.LDIM_MS: [(0, 2), (0, 3)],
+    }
+    for variant in Variant:
+        assert list(scope_pairs(g, (1,), variant)) == want[variant]
+    # a landmark at the centre leaves no edge outside W
+    assert list(scope_pairs(g, (0,), Variant.LDIM_MS)) == []
 
 
 def test_is_resolving_c4():
@@ -125,7 +140,7 @@ def test_violating_pairs_match_the_definition(g, data):
         else:
             keys = [tuple(sorted(dm.d[u][w] for w in W)) for u in range(g.n)]
         want = [
-            (u, v) for u, v in scope_pairs(g, W, variant.scope) if keys[u] == keys[v]
+            (u, v) for u, v in scope_pairs(g, W, variant) if keys[u] == keys[v]
         ]
         got = violating_pairs(g, W, variant)
         assert got == want
