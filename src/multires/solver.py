@@ -37,28 +37,31 @@ edges for LDIM, LMD and LDIM_MS.
 - vector kinds: column w is a bitmask of the pairs that w separates; W
   resolves iff the OR of its columns has every bit set.
 
-Multiset kinds, one integer per subset. Pair i in scope owns the L-bit lane
-[L*i, L*(i+1)). Lane i of column w holds key_w(u) - key_w(v) + bias for the
-pair (u, v), where `bias` exceeds every |key difference|, with D the
-diameter. In the all and adjacent scopes every key is (n+1)**d with
-0 <= d <= D, so |diff| <= (n+1)**D - 1 < (n+1)**D = bias. In the outer
-scopes a column's one sentinel -(w+1)*top, with w < n and
+Multiset kinds, one integer per subset. `_columns(g, variant)` is the only
+code that knows this lane format. Pair i in scope owns the L-bit lane
+[L*i, L*(i+1)). Lane i of column w holds the signed key difference
+key_w(u) - key_w(v) of the pair (u, v): column w is sum over u of
+key_w(u) * E[u], where the incidence integer E[u] holds +1 in the lanes of
+the pairs (u, v) and -1 in those of (v, u). `bias` exceeds every |key
+difference|, with D the diameter. In the all and adjacent scopes every key
+is (n+1)**d with 0 <= d <= D, so |diff| <= (n+1)**D - 1 < (n+1)**D = bias.
+In the outer scopes a column's one sentinel -(w+1)*top, with w < n and
 top = (n+1)**(D+1), gives |diff| <= n*top + (n+1)**D < (n+1)*top =
-(n+1)**(D+2) = bias. A lane of one column lies in [1, 2*bias), so a lane of
-a sum of k <= n columns lies in [k, 2k*bias), and
-L = (2*n*bias).bit_length() + 1 keeps every lane below 2**(L-1): sums and
-XORs never carry into the next lane, and every lane's top bit stays clear.
-Column w is sum over u of key_w(u) * E[u] + bias*low, where the incidence
-integer E[u] holds +1 in the lanes of the pairs (u, v), -1 in those of
-(v, u), and low has a 1 in every lane. At level k the subset's key
-difference on pair i is 0 iff lane i of acc + col equals k*bias. With
-high = low << (L-1), the lanes' top bits, and targets[k] = k*bias*low | high,
-lane i of y = (acc + col) ^ targets[k] is 2**(L-1) + z_i, with z_i < 2**(L-1)
-and z_i = 0 iff the difference is 0 (the sum's top bits are clear, so the
-XOR sets them all). W resolves iff (y - low) & high == high. The test is
-exact (a zero-lane test; Warren, "Hacker's Delight", 6-1): with every top
-bit set first, every lane is at least 1, so subtracting low borrows nowhere,
-and lane i keeps its top bit iff z_i >= 1.
+(n+1)**(D+2) = bias. Both searches start a subset's value acc at
+base = n*bias*low, where low has a 1 in every lane, and add the columns of
+its landmarks. An integer is linear in its lanes, and a sum of k <= n
+differences lies in (-n*bias, n*bias), so every lane of acc lies in
+(0, 2n*bias) at every level, and equals n*bias iff its pair's key
+difference is 0. L = (2*n*bias).bit_length() + 1 keeps every lane below
+2**(L-1): no lane borrows from or carries into the next, and every lane's
+top bit stays clear. With high = low << (L-1), the lanes' top bits, and
+target = base | high, lane i of y = acc ^ target is 2**(L-1) + z_i, with
+z_i < 2**(L-1) and z_i = 0 iff the difference is 0 (acc's top bits are
+clear, so the XOR sets them all). W resolves iff (y - low) & high == high.
+The test is exact (a zero-lane test; Warren, "Hacker's Delight", 6-1): with
+every top bit set first, every lane is at least 1, so subtracting low
+borrows nowhere, and lane i keeps its top bit iff z_i >= 1. For the vector
+kinds `_columns` returns the bitmask columns with base, target and low 0.
 
 The order and the budget count are those of the plain loop, so witnesses
 and `subsets_checked` are the same. A rule (mask, at_least, at_most) bounds
@@ -124,24 +127,24 @@ with every subset that passes the K-end rules counted.
 
 Final lanes (both searches, all six variants). Landmark w moves the lane
 or bit of a pair (u, v) only if d(u, w) != d(v, w); otherwise its column
-adds exactly bias to the lane, or leaves the bit clear. `_final_lanes`
-gives final[w], the bits of `full` (high, or every pair's bit for vector
-kinds, whose targets and low are 0) that no column after w moves: each
-later column clears the bits set in (col ^ targets[1]) - low, whose top
-bits are those of the lanes it moves (for vector kinds, its own bits). The
-landmarks chosen after w lie above it, so a pair in final[w] that acc,
-the sum or OR of the j chosen, leaves unresolved stays so in every
-completion. ((acc ^ targets[j]) - low) & final[w] != final[w] finds one,
-exactly and in any lane order: with every top bit set first, subtracting
-low borrows nowhere, and a bit that no later column sets stays clear.
+holds 0 there. `_final_lanes` gives final[w], the bits of `full` (high, or
+every pair's bit for vector kinds) that no column after w moves: each later
+column clears the bits set in ((col + base) ^ target) - low, whose top bits
+are those of the lanes it moves (for vector kinds, whose base, target and
+low are 0, its own bits). The landmarks chosen after w lie above it, so a
+pair in final[w] that acc, base plus the sum (or the OR) of the columns
+chosen, leaves unresolved stays so in every completion.
+((acc ^ target) - low) & final[w] != final[w] finds one, exactly, at every
+level and in any lane order: with every top bit set first, subtracting low
+borrows nowhere, and a bit that no later column sets stays clear.
 
 Membership walk (LMD). Many graphs have an infinite LMD that no
 certificate covers. `_membership_search` decides whether any W that
 passes the K-end rules resolves, by a depth-first walk over i = 0..n-1
 that tries "take vertex i" before "skip it", over the level kernel's own
-columns, targets and final lanes: once i is decided, it prunes with the
-test on final[i], j being the count taken, and with `_feasible`, the
-vertices left being the slots. At i = n every lane has been tested. If no
+columns, base, target and final lanes: once i is decided, it prunes with
+the test on final[i] and with `_feasible`, the vertices left being the
+slots. At i = n every lane has been tested. If no
 W resolves, the search adds `_completions(n, rules, 0, 0, k)` for each
 level k not yet searched, as the plain loop would count them, and raises
 (budget, budget) when the sum passes the budget; if one does, the level
@@ -307,20 +310,35 @@ def _completions(n, rules, chosen, first, slots):
     return product >> bits * slots & (1 << bits) - 1
 
 
-def _key_rows(dm):
-    """key_w(u) = (n+1)**d(u, w) as row w: a landmark set's key of u is the
-    sum of its rows' entries at u, whose base-(n+1) digits count the
-    landmarks at each distance from u (no count exceeds n)."""
-    powers = [(dm.n + 1) ** d for d in range(dm.diameter + 1)]
-    return [list(map(powers.__getitem__, row)) for row in dm.d]
-
-
-def _packed_columns(keys, pairs, bias):
-    """(cols, targets, low, high): lane i (L bits) of column w holds
-    keys[w][u] - keys[w][v] + bias for pairs[i] = (u, v), `bias` exceeding
-    every difference; low has a 1 in every lane, high is every lane's top
-    bit, and targets[k] = k*bias*low | high (module docstring)."""
-    n = len(keys)
+def _columns(g, variant):
+    """(cols, base, target, low, full) in the lane format of the module
+    docstring: a subset's value is base plus (for vector kinds, OR) its
+    landmarks' columns, and it resolves iff ((value ^ target) - low) & full
+    == full."""
+    dm = all_pairs_distances(g)
+    n = g.n
+    # in-scope pairs; the sentinels below settle outer pairs with an end in W
+    pairs = g.edges if variant.adjacent else list(combinations(range(n), 2))
+    if variant.kind == "vector":
+        # bit i of column w is set when w separates pairs[i] (dm.d[w][u] is d(u, w))
+        cols = [
+            sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
+            for row in dm.d
+        ]
+        return cols, 0, 0, 0, (1 << len(pairs)) - 1
+    # key_w(u) = (n+1)**d(u, w) as row w: a landmark set's key of u is the
+    # sum of its rows' entries at u, whose base-(n+1) digits count the
+    # landmarks at each distance from u (no count exceeds n)
+    powers = [(n + 1) ** d for d in range(dm.diameter + 1)]
+    keys = [list(map(powers.__getitem__, row)) for row in dm.d]
+    if variant.outer:
+        # a landmark's own entry is a sentinel: `top` exceeds every key, so
+        # the key of w in W lies in [-(w+1)*top, -w*top), below every key
+        # outside W and apart from the other landmarks' keys
+        top = (n + 1) ** (dm.diameter + 1)
+        for w, row in enumerate(keys):
+            row[w] = -(w + 1) * top
+    bias = (n + 1) ** (dm.diameter + (2 if variant.outer else 0))
     L = (2 * n * bias).bit_length() + 1
     E = [0] * n  # E[u]: +1 in the lanes of the pairs (u, v), -1 in (v, u)
     for i, (u, v) in enumerate(pairs):
@@ -329,44 +347,42 @@ def _packed_columns(keys, pairs, bias):
         E[v] -= lane
     low = ((1 << L * len(pairs)) - 1) // ((1 << L) - 1)
     high = low << (L - 1)
-    targets = [k * bias * low | high for k in range(n + 1)]
-    cols = [sum(map(mul, row, E), bias * low) for row in keys]
-    return cols, targets, low, high
+    base = n * bias * low
+    return [sum(map(mul, row, E)) for row in keys], base, base | high, low, high
 
 
-def _final_lanes(cols, full, targets, low):
+def _final_lanes(cols, base, target, low, full):
     """final[w]: the lanes' top bits (multiset kinds) or the bits (vector
     kinds) of `full` that no column after w moves (module docstring)."""
     final = [full] * len(cols)
     for w in range(len(cols) - 1, 0, -1):
-        final[w - 1] = final[w] & ~((cols[w] ^ targets[1]) - low)
+        final[w - 1] = final[w] & ~(((cols[w] + base) ^ target) - low)
     return final
 
 
-def _membership_search(rules, cols, targets, final, low):
+def _membership_search(rules, cols, final, base, target, low):
     """The first landmark set, in take-before-skip order over the vertices,
     that passes the K-end rules and leaves no final lane 0: a resolving set
     of LMD as a bitmask, or None when none exists (module docstring)."""
     n = len(cols)
 
-    def walk(i, chosen, j, acc):
-        # vertices 0..i-1 are decided; `chosen` holds the j taken, and acc
-        # is the sum of their columns
+    def walk(i, chosen, acc):
+        # vertices 0..i-1 are decided; acc is base plus the columns of the
+        # vertices `chosen` holds
         if i == n:
             return chosen
         mask = final[i]
-        take = (chosen | 1 << i, j + 1, acc + cols[i])
-        for chosen_, j_, acc_ in (take, (chosen, j, acc)):
+        for chosen_, acc_ in ((chosen | 1 << i, acc + cols[i]), (chosen, acc)):
             if rules and not _feasible(rules, chosen_, i + 1, n - i - 1):
                 continue
-            if ((acc_ ^ targets[j_]) - low) & mask != mask:
+            if ((acc_ ^ target) - low) & mask != mask:
                 continue
-            found = walk(i + 1, chosen_, j_, acc_)
+            found = walk(i + 1, chosen_, acc_)
             if found is not None:
                 return found
         return None
 
-    return walk(0, 0, 0, 0)
+    return walk(0, 0, base)
 
 
 def _first_resolving(g, variant, budget):
@@ -375,8 +391,7 @@ def _first_resolving(g, variant, budget):
     Returns (W, examined), W None when no subset resolves; `examined` counts
     the subsets that pass the K-end rules.
     """
-    dm = all_pairs_distances(g)
-    n, edges = g.n, g.edges
+    n = g.n
     limit = math.inf if budget is None else budget
     rules = _k_end_rules(g, variant)
     # the twin rules that repeat no K-end rule; they only prune, and the
@@ -396,41 +411,19 @@ def _first_resolving(g, variant, budget):
     if k_min > n:
         return None, examined
 
-    # in-scope pairs; the sentinels below settle outer pairs with an end in W
-    pairs = edges if variant.adjacent else list(combinations(range(n), 2))
+    cols, base, target, low, full = _columns(g, variant)
     if variant.kind == "vector":
-        # bit i of column w is set when w separates pairs[i] (dm.d[w][u] is d(u, w))
-        cols = [
-            sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
-            for row in dm.d
-        ]
-        full = (1 << len(pairs)) - 1  # every pair's bit
-        # all 0, so the final-lane test below reads acc itself
-        targets, low = bytes(n + 1), 0
         extend = or_
 
         def resolves(acc, col):
             return acc | col == full
 
     else:
-        keys = _key_rows(dm)
-        if variant.outer:
-            # a landmark's own entry is a sentinel: `top` exceeds every key,
-            # so the key of w in W lies in [-(w+1)*top, -w*top), below every
-            # key outside W and apart from the other landmarks' keys
-            top = (n + 1) ** (dm.diameter + 1)
-            for w, row in enumerate(keys):
-                row[w] = -(w + 1) * top
-        bias = (n + 1) ** (dm.diameter + (2 if variant.outer else 0))
-        # full: every lane's top bit, which a lane test leaves set iff the lane is not 0
-        cols, targets, low, full = _packed_columns(keys, pairs, bias)
         extend = add
 
         def resolves(acc, col):
-            # k is the level being searched: a lane of y is 0 iff its
-            # pair's key difference is 0
-            y = (acc + col) ^ targets[k]
-            return (y - low) & full == full
+            # full loses a bit iff some pair's key difference is 0
+            return (((acc + col) ^ target) - low) & full == full
 
     def search(first, depth, prefix, acc, final):
         # prefix: the bitmask of the landmarks chosen so far
@@ -442,7 +435,7 @@ def _first_resolving(g, variant, budget):
                     continue
                 acc_ = extend(acc, cols[w])
                 if depth > 2 and (
-                    ((acc_ ^ targets[k - depth + 1]) - low) & final[w] != final[w]
+                    ((acc_ ^ target) - low) & final[w] != final[w]
                     or twins and not _feasible(both, chosen, w + 1, depth - 1)
                 ):
                     # nothing below resolves: count what the plain loop would
@@ -467,18 +460,18 @@ def _first_resolving(g, variant, budget):
     probe = variant is Variant.LMD
     final = None  # built for the first level or walk that reads it
     for k in range(k_min, n + 1):
-        walk = probe and examined >= n * len(edges)
+        walk = probe and examined >= n * len(g.edges)
         if final is None and (walk or k > 2):
-            final = _final_lanes(cols, full, targets, low)
+            final = _final_lanes(cols, base, target, low, full)
         if walk:
             probe = False
-            if _membership_search(rules, cols, targets, final, low) is None:
+            if _membership_search(rules, cols, final, base, target, low) is None:
                 # no subset resolves: count the levels left as the plain loop would
                 examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
                 if examined > limit:
                     raise BudgetExhaustedError(budget, budget)
                 return None, examined
-        W = search(0, k, 0, 0, final)
+        W = search(0, k, 0, base, final)
         if W:
             return tuple(w for w in range(n) if W >> w & 1), examined
     return None, examined

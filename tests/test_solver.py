@@ -3,7 +3,9 @@ import math
 import multiprocessing.process
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import add, or_
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from multires.errors import (
     GraphValidationError,
 )
 from multires.generators import (
+    connected_classes,
     gen,
     gen_clique_gadget,
     gen_complete,
@@ -317,17 +320,94 @@ def test_widest_lanes_at_the_cap_match_naive():
         assert got == naive[variant].subsets_checked == 1164, variant
 
 
+def check_lane_format(g, variant, subsets):
+    """The zero-lane test on base plus (OR for vector kinds) the columns of W
+    against the definition, and final[w] against the pairs that no landmark
+    after w separates."""
+    cols, base, target, low, full = solver._columns(g, variant)
+    extend = or_ if variant.kind == "vector" else add
+    for W in subsets:
+        acc = reduce(extend, (cols[w] for w in W), base)
+        resolves = ((acc ^ target) - low) & full == full
+        assert resolves == is_resolving(g, W, variant), (variant, g.edges, W)
+    # the bit of full that each pair's lane or bit keeps, in pair order
+    d = all_pairs_distances(g).d
+    pairs = g.edges if variant.adjacent else list(combinations(range(g.n), 2))
+    bits = [b for b in range(full.bit_length()) if full >> b & 1]
+    assert len(bits) == len(pairs), (variant, g.edges)
+    final = solver._final_lanes(cols, base, target, low, full)
+    for w in range(g.n):
+        later = range(w + 1, g.n)
+        want = sum(
+            1 << bit
+            for bit, (u, v) in zip(bits, pairs)
+            if all(d[x][u] == d[x][v] for x in later)
+        )
+        assert final[w] == want, (variant, g.edges, w)
+
+
+def test_lane_format_matches_the_definitions():
+    # every nonempty W on the classes with n <= 5, and five seeded subsets
+    # of each size on two graphs at the solver cap
+    cases = [
+        (g, [W for k in range(1, g.n + 1) for W in combinations(range(g.n), k)])
+        for g, _ in connected_classes(5)
+    ]
+    rng = random.Random(19)
+    for spec in ("gadget:8", "wheel:19"):
+        g = gen(parse_family_spec(spec))
+        subsets = [
+            tuple(sorted(rng.sample(range(g.n), k)))
+            for k in range(1, g.n + 1)
+            for _ in range(5)
+        ]
+        cases.append((g, subsets))
+    for g, subsets in cases:
+        for variant in Variant:
+            check_lane_format(g, variant, subsets)
+
+
+JOIN = "join:cycle:9+cycle:9"  # n = 18
+DIAM_2 = "diam_le_2: diameter 2 <= 2 and graph is not a path"
+
+
+AT_THE_CAP = [
+    (JOIN, Variant.DIM, 8, (0, 1, 3, 5, 9, 10, 12, 14), 67098, None),
+    (JOIN, Variant.LDIM, 6, (0, 1, 5, 9, 10, 14), 13860, None),
+    (JOIN, Variant.MD, INFINITE, None, 0, DIAM_2),
+    (JOIN, Variant.DIM_MS, 17, tuple(range(17)), 262125, None),
+    (JOIN, Variant.LMD, INFINITE, None, 262143, "exhausted all 2^18 - 1 subsets"),
+    (JOIN, Variant.LDIM_MS, 9, (0, 1, 2, 3, 4, 5, 9, 10, 14), 106901, None),
+    ("wheel:19", Variant.DIM, 8, (0, 1, 3, 5, 8, 10, 13, 15), 146100, None),
+    ("wheel:19", Variant.LDIM, 5, (0, 3, 7, 11, 15), 7999, None),
+    ("wheel:19", Variant.MD, INFINITE, None, 0, DIAM_2),
+    ("wheel:19", Variant.DIM_MS, 18, tuple(range(18)), 1048365, None),
+    ("wheel:19", Variant.LDIM_MS, 6, (0, 1, 3, 7, 11, 15), 22687, None),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, variant, value, witness, count, certificate",
+    AT_THE_CAP,
+    ids=[f"{spec}-{variant.name.lower()}" for spec, variant, *_ in AT_THE_CAP],
+)
+def test_answers_at_the_cap_are_pinned(
+    spec, variant, value, witness, count, certificate
+):
+    # DIM_MS answers at level 17 (n = 18) and 18 (n = 20), the deepest levels
+    # a test reaches, where a lane adds up the most key differences
+    r = dimension(gen(parse_family_spec(spec)), variant)
+    assert (r.value, r.witness, r.subsets_checked) == (value, witness, count)
+    assert r.certificate == certificate
+
+
 def lmd_walk(g, rules):
-    """The LMD membership walk over the level kernel's own columns, targets
-    and final lanes, as `_first_resolving` builds them: W as a sorted tuple,
-    or None when no landmark set that passes the rules resolves."""
-    dm = all_pairs_distances(g)
-    keys = solver._key_rows(dm)
-    cols, targets, low, high = solver._packed_columns(
-        keys, g.edges, (g.n + 1) ** dm.diameter
-    )
-    final = solver._final_lanes(cols, high, targets, low)
-    W = solver._membership_search(rules, cols, targets, final, low)
+    """The LMD membership walk over the level kernel's own columns, base,
+    target and final lanes, as `_first_resolving` builds them: W as a sorted
+    tuple, or None when no landmark set that passes the rules resolves."""
+    cols, base, target, low, full = solver._columns(g, Variant.LMD)
+    final = solver._final_lanes(cols, base, target, low, full)
+    W = solver._membership_search(rules, cols, final, base, target, low)
     return None if W is None else tuple(w for w in range(g.n) if W >> w & 1)
 
 
@@ -384,8 +464,9 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
 def test_membership_search_takes_every_vertex_when_they_resolve():
     # take-before-skip reaches V first, and tests every lane there. A path
     # on 0..8 with a leaf 9 at its centre: n = 10, diameter 8, so
-    # 2*n*bias = 20 * 11**8 lies just below 2**32. The lanes of the sum of
-    # all ten columns reach 2**31, which only the spare top bit of L holds.
+    # 2*n*bias = 20 * 11**8 lies just below 2**32 and L = 33. A lane of base
+    # is 10 * 11**8, just below 2**31, and two lanes of base plus all ten
+    # columns pass 2**31: they fill all 32 bits below each lane's top bit.
     g = Graph(10, [(i, i + 1) for i in range(8)] + [(4, 9)])
     assert all_pairs_distances(g).diameter == 8
     assert is_resolving(g, tuple(range(10)), Variant.LMD)
@@ -609,7 +690,7 @@ def test_md_with_a_closed_twin_triple_is_infinite_without_a_search(
     def no_columns(*args):
         raise AssertionError("the kernel built its columns")
 
-    monkeypatch.setattr(solver, "_packed_columns", no_columns)
+    monkeypatch.setattr(solver, "_columns", no_columns)
     covered = []
     for g, _ in classes7:
         if any(c.variant is Variant.MD for c in infinite_certificates(g)):
