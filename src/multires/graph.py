@@ -13,8 +13,10 @@ distance memo holds one BFS row per vertex, filled as rows are asked for:
 `distance_row` gives one of them, and `all_pairs_distances` fills them all.
 A call that needs the distances from a few landmarks builds only their
 rows; `within_two_hops` decides "diameter <= 2" with no BFS at all. `_bfs`
-is the one breadth-first search: connectivity reads its row of vertex 0,
-and `bipartition` the parity of that memoized row.
+is the one breadth-first search. `bipartition` reads the parity of the
+memoized row of vertex 0, but the connectivity checks run their own BFS of
+vertex 0 and memoize nothing (`all_connected` calls `is_connected` on every
+mask), so a parsed graph whose distances are then asked for runs it twice.
 """
 
 from collections import deque

@@ -17,8 +17,8 @@ K-end rules (LMD and LDIM_MS). The K-end vertices of a clique K, the u with
 N[u] = K, are closed twins (`graph.k_end_groups`), so no landmark outside
 them tells them apart. LMD needs exactly one of two in W (three or more make
 LMD infinite, and `dimension()` returns the triple_k_end certificate first),
-and LDIM_MS all but one. `_k_end_rules(g, variant)` states these as rules
-(mask, at_least, at_most), below; no clique is enumerated, so there is no cap.
+and LDIM_MS all but one. `_rules(g, variant)` states these as the rules
+(mask, at_least, at_most) of its first list, below, with no clique cap.
 
 The kernel (`_first_resolving`) walks the subsets of each cardinality as a
 depth-first search over combinations in lexicographic order (Knuth, TAOCP
@@ -87,7 +87,7 @@ Twin rules (search-only). Vertices u, v are closed twins when
 N[u] = N[v] (so they are adjacent) and open twins when N(u) = N(v) (so
 they are not). Outside their own class, twins have the same distance to
 every vertex, so a landmark set that holds neither u nor v gives them the
-same vector and the same multiset. `_twin_rules(g, variant)` states what
+same vector and the same multiset. `_rules(g, variant)` states what
 follows, one rule (mask, at_least, at_most) per class of t twins:
 - closed twins, all six variants: every scope compares u and v while both
   are outside W (they are an edge, and a pair of the all and outer
@@ -106,14 +106,13 @@ follows, one rule (mask, at_least, at_most) per class of t twins:
   pair with an end in W, so the others get no at_most.
 A vertex cannot have both an open twin v and a closed twin x: x is in
 N(u) = N(v), so v is in N[x] = N[u] and u, v would be adjacent. So the
-open and closed classes are disjoint. Each K-end rule is also a twin rule:
-a K-end group is a closed-twin class, and the bounds agree. So the search
-drops the twin rules that repeat a K-end rule, the classes of the K-end
-rules and of the twin rules left are disjoint, and `_feasible`'s slot
-argument holds for them together. Every resolving set obeys the twin
-rules, but the plain loop counts the subsets that pass the K-end rules,
-resolving or not. So each internal node first checks the K-end rules
-alone, and a cut there is not counted. A node with two or more slots left
+open and closed classes are disjoint, and `_rules` puts each class's one
+rule in one list: the K-end groups the plain loop filters on in the first,
+the twin rules in the second, so `_feasible`'s slot argument holds for the
+two together. Every resolving set obeys the twin rules, but the plain loop
+counts the subsets that pass the K-end rules, resolving or not. So each
+internal node first checks the K-end rules alone, and a cut there is not
+counted. A node with two or more slots left
 then checks its final lanes (below) and the K-end and twin rules together.
 A cut there removes only subsets that do not resolve: the search adds the
 subsets below it that pass the K-end rules,
@@ -152,9 +151,10 @@ search goes on for the first witness in the plain loop's order. Most LMD
 values are found at level 1 or 2, where a walk is pure overhead, so it
 runs at most once, before the first level at which the level search has
 counted n*|E| subsets (wheel:15: before level 4, after 696 of 65 535).
-The final lanes are built at the first level >= 3 or walk, and passed to
-`search` rather than held in a closure cell, which the recursive `search`
-keeps for a collection pass. MD stays on the level search.
+The final lanes are built at the first level >= 3 or walk. `search` and
+`walk` call themselves through their closure cells, so each search deletes
+its own when it ends, and a solve leaves no reference cycle. MD stays on the
+level search.
 
 Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
 DIM_MS, counting the representations a vertex can have, with D the
@@ -244,20 +244,6 @@ class Certificate:
         }
 
 
-def _k_end_rules(g, variant):
-    """The K-end rules (mask, at_least, at_most) of LMD and LDIM_MS, none for
-    the other variants (module docstring). Told apart by the variant's flags,
-    as an Enum member lookup is slow on the path of every solve."""
-    if variant.kind == "vector" or not variant.adjacent:
-        return []
-    at_most = g.n if variant.always_finite else 1  # 1 for LMD
-    return [
-        (sum(1 << v for v in ends), len(ends) - 1, at_most)
-        for _, ends in k_end_groups(g)
-        if at_most > 1 or len(ends) == 2  # LMD: pairs; triples have a certificate
-    ]
-
-
 def _feasible(rules, chosen, first, slots):
     """Whether `chosen` plus `slots` more vertices from first..n-1 can pass
     every rule (module docstring); at a leaf, with slots 0, whether it does."""
@@ -273,17 +259,24 @@ def _feasible(rules, chosen, first, slots):
     return short <= slots
 
 
-def _twin_rules(g, variant):
-    """Search-only rules (mask, at_least, at_most), one per twin class, that
-    every resolving set obeys (module docstring). A class of three or more
-    under MD or LMD gets at_least > at_most: no set obeys it."""
+def _rules(g, variant):
+    """(k_end, twins): one rule (mask, at_least, at_most) per twin class the
+    variant compares (module docstring). k_end holds the K-end groups the
+    plain loop filters on, twins the other classes; twins only prune, and a
+    class of three or more under MD or LMD gets at_least > at_most there."""
     at_most = g.n if variant.always_finite else 1  # 1 for MD and LMD
-    kinds = (True,) if variant.adjacent else (True, False)
-    return [
-        (sum(1 << v for v in vs), len(vs) - 1, at_most)
-        for closed in kinds
-        for vs in twin_classes(g, closed).values()
-    ]
+    # LMD and LDIM_MS; LMD filters on pairs only, as triples have a certificate
+    ends = (
+        {vs for _, vs in k_end_groups(g) if at_most > 1 or len(vs) == 2}
+        if variant.kind == "multiset" and variant.adjacent
+        else ()
+    )
+    k_end, twins = [], []
+    for closed in (True,) if variant.adjacent else (True, False):
+        for vs in twin_classes(g, closed).values():
+            rule = (sum(1 << v for v in vs), len(vs) - 1, at_most)
+            (k_end if vs in ends else twins).append(rule)
+    return k_end, twins
 
 
 def _completions(n, rules, chosen, first, slots):
@@ -382,7 +375,10 @@ def _membership_search(rules, cols, final, base, target, low):
                 return found
         return None
 
-    return walk(0, 0, base)
+    try:
+        return walk(0, 0, base)
+    finally:
+        del walk  # walk calls itself through this cell: break the cycle
 
 
 def _first_resolving(g, variant, budget):
@@ -393,12 +389,7 @@ def _first_resolving(g, variant, budget):
     """
     n = g.n
     limit = math.inf if budget is None else budget
-    rules = _k_end_rules(g, variant)
-    # the twin rules that repeat no K-end rule; they only prune, and the
-    # search counts what they cut
-    twins = _twin_rules(g, variant)
-    if rules:
-        twins = [rule for rule in twins if rule not in rules]
+    rules, twins = _rules(g, variant)
     both = rules + twins
     if any(lo > hi for _, lo, hi in twins):
         k_min = n + 1  # no set obeys the twin rules, so none resolves
@@ -425,7 +416,7 @@ def _first_resolving(g, variant, budget):
             # full loses a bit iff some pair's key difference is 0
             return (((acc + col) ^ target) - low) & full == full
 
-    def search(first, depth, prefix, acc, final):
+    def search(first, depth, prefix, acc):
         # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
         if depth > 1:
@@ -443,7 +434,7 @@ def _first_resolving(g, variant, budget):
                     if examined > limit:
                         raise BudgetExhaustedError(budget, budget)
                     continue
-                found = search(w + 1, depth - 1, chosen, acc_, final)
+                found = search(w + 1, depth - 1, chosen, acc_)
                 if found:
                     return found
             return None
@@ -459,22 +450,25 @@ def _first_resolving(g, variant, budget):
 
     probe = variant is Variant.LMD
     final = None  # built for the first level or walk that reads it
-    for k in range(k_min, n + 1):
-        walk = probe and examined >= n * len(g.edges)
-        if final is None and (walk or k > 2):
-            final = _final_lanes(cols, base, target, low, full)
-        if walk:
-            probe = False
-            if _membership_search(rules, cols, final, base, target, low) is None:
-                # no subset resolves: count the levels left as the plain loop would
-                examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
-                if examined > limit:
-                    raise BudgetExhaustedError(budget, budget)
-                return None, examined
-        W = search(0, k, 0, base, final)
-        if W:
-            return tuple(w for w in range(n) if W >> w & 1), examined
-    return None, examined
+    try:
+        for k in range(k_min, n + 1):
+            walk = probe and examined >= n * len(g.edges)
+            if final is None and (walk or k > 2):
+                final = _final_lanes(cols, base, target, low, full)
+            if walk:
+                probe = False
+                if _membership_search(rules, cols, final, base, target, low) is None:
+                    # no subset resolves: count the levels left as the plain loop would
+                    examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
+                    if examined > limit:
+                        raise BudgetExhaustedError(budget, budget)
+                    return None, examined
+            W = search(0, k, 0, base)
+            if W:
+                return tuple(w for w in range(n) if W >> w & 1), examined
+        return None, examined
+    finally:
+        del search  # search calls itself through this cell: break the cycle
 
 
 def _elapsed_ms(t0):

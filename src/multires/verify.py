@@ -266,22 +266,12 @@ def wheel_path_structure(n, W, outer):
 
 
 def _runs_ok(n, subset):
-    if not subset:
-        return True
     if len(subset) == n:
         return n in (1, 3)
-    runs = []
-    # rotate so that a gap sits at the start, then count consecutive runs
+    # rotate the rim to start at a gap, so that no run wraps around
     start = next(v for v in range(n) if v not in subset)
-    run = 0
-    for i in range(1, n + 1):
-        v = (start + i) % n
-        if v in subset:
-            run += 1
-        elif run:
-            runs.append(run)
-            run = 0
-    return all(r in (1, 3) for r in runs)
+    rim = "".join("1" if (start + i) % n in subset else "0" for i in range(n))
+    return all(len(run) in (0, 1, 3) for run in rim.split("0"))
 
 
 # --- theorem checks ---------------------------------------------------------

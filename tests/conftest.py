@@ -5,7 +5,7 @@ import pytest
 from multires.bounds import level_lower_bound
 from multires.generators import connected_classes
 from multires.multisets import Variant
-from multires.solver import _k_end_rules, dimension, naive_all_dimensions
+from multires.solver import _rules, dimension, naive_all_dimensions
 
 from strategies import plain_count, random_connected_graph
 
@@ -39,7 +39,7 @@ def oracle_sweep():
             # a certificate answers before any subset is counted
             if got.subsets_checked:
                 # a K-end rule skips subsets the oracle counts
-                rules = _k_end_rules(g, variant)
+                rules = _rules(g, variant)[0]
                 want_count = want.subsets_checked
                 if rules:
                     want_count = plain_count(g, rules, got.witness)

@@ -124,6 +124,12 @@ def test_certify_rejects_bad_witness(capsys):
     )
     assert code == 1
     assert "out of range" in err
+    code, _, err = run(
+        capsys, "certify", "--gen", "cycle:5",
+        "--variant", "lmd", "--witness", "0,x",
+    )
+    assert code == 1
+    assert "bad witness" in err
 
 
 def test_bounds_json(capsys):
@@ -131,12 +137,22 @@ def test_bounds_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lower"]["lmd"]["value"] == 2
+    # n = 31 is above the omega and chi caps: the table names each skipped bound
+    code, out, _ = run(capsys, "bounds", "--gen", "wheel:30")
+    assert code == 0
+    assert out.count("skipped: ") == 3
+    for bound in ("clique_log", "triple_k_end", "chromatic_gdchi"):
+        assert f"skipped: {bound}: n=31 exceeds" in out
 
 
 def test_verify_single_theorem(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "cycles")
     assert code == 0
     assert "cycles" in out and "pass" in out
+    # a valid --n-max reaches the corpus check, one instance over n <= 4
+    code, out, _ = run(capsys, "verify", "--theorem", "observation_chain", "--n-max", "4")
+    assert code == 0
+    assert "pass (1 instances)" in out
 
 
 def test_verify_unknown_theorem(capsys):
@@ -211,6 +227,10 @@ def test_env_cap_below_one_is_input_error(capsys, monkeypatch):
     code, _, err = run(capsys, "compute", "--gen", "cycle:5")
     assert code == 1
     assert "cap" in err
+    monkeypatch.setenv("MULTIRES_CAP", "abc")
+    code, _, err = run(capsys, "compute", "--gen", "cycle:5")
+    assert code == 1
+    assert "MULTIRES_CAP must be an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,8 @@ def test_all_connected_counts(n, count):
 def test_all_connected_cap():
     with pytest.raises(CapExceededError):
         next(all_connected(ALL_CONNECTED_CAP + 1))
+    with pytest.raises(GraphValidationError):
+        next(all_connected(0))
 
 
 def test_connected_class_counts(classes7):

@@ -73,6 +73,10 @@ def test_parse_edge_list_errors():
         parse_edge_list("0 x\n")
     with pytest.raises(GraphParseError):
         parse_edge_list("# nothing\n")
+    with pytest.raises(GraphParseError):
+        parse_edge_list("0 -1\n")
+    with pytest.raises(GraphValidationError):
+        parse_edge_list("1 1\n")  # a loop
     with pytest.raises(DisconnectedGraphError):
         parse_edge_list("0 1\n2 3\n")
 
@@ -96,6 +100,9 @@ def test_graph6_header_and_errors():
         parse_graph6("")
     with pytest.raises(GraphParseError):
         parse_graph6("A")  # truncated bit vector
+    for text in ("A!", "~??", "?"):  # bad character, size header, no vertex
+        with pytest.raises(GraphParseError):
+            parse_graph6(text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,6 +172,8 @@ def test_maximal_cliques_wheel():
 def test_clique_cap():
     with pytest.raises(CapExceededError):
         maximal_cliques(gen_path(25), cap=20)
+    with pytest.raises(CapExceededError):
+        chromatic_number(gen_wheel(16))  # n = 17 > CHI_CAP
 
 
 @pytest.mark.parametrize(

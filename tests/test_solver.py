@@ -1,3 +1,4 @@
+import gc
 import inspect
 import math
 import multiprocessing.process
@@ -181,28 +182,43 @@ def test_parallel_shards_start_no_process(monkeypatch):
     assert (r.value, r.witness) == (2, (0, 4))
 
 
+def test_a_solve_leaves_no_garbage():
+    # search and walk call themselves through their closure cells, and each
+    # search deletes its own, so no reference cycle outlives a solve
+    gc.collect()
+    gc.disable()
+    try:
+        solve_all(gen_wheel(8))
+        dimension(gen_wheel(15), Variant.LMD)  # the membership walk
+        with pytest.raises(BudgetExhaustedError):
+            dimension(gen_wheel(15), Variant.LMD, SolverOptions(subset_budget=10))
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
 def test_k_end_rules_lmd_pair_rule():
     # two triangles sharing vertex 0: each has a K-end pair
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    rules = solver._k_end_rules(g, Variant.LMD)
+    rules = solver._rules(g, Variant.LMD)[0]
     assert sorted(rules) == [(0b00110, 1, 1), (0b11000, 1, 1)]
     # the four variants other than LMD and LDIM_MS get no K-end rule
     others = set(Variant) - {Variant.LMD, Variant.LDIM_MS}
-    assert all(solver._k_end_rules(g, variant) == [] for variant in others)
+    assert all(solver._rules(g, variant)[0] == [] for variant in others)
 
 
 def test_k_end_rules_ldim_ms_all_but_one():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    rules = solver._k_end_rules(g, Variant.LDIM_MS)
+    rules = solver._rules(g, Variant.LDIM_MS)[0]
     assert sorted(rules) == [(0b00110, 1, 5), (0b11000, 1, 5)]
-    big = solver._k_end_rules(gen_complete(5), Variant.LDIM_MS)
+    big = solver._rules(gen_complete(5), Variant.LDIM_MS)[0]
     assert big == [(0b11111, 4, 5)]
 
 
 def test_k_end_rules_need_no_cap_above_20():
     # n = 22: seven K_4 share vertex 0, and each keeps three K-end vertices
     g = gen(parse_family_spec("amal:4,4,4,4,4,4,4"))
-    rules = solver._k_end_rules(g, Variant.LDIM_MS)
+    rules = solver._rules(g, Variant.LDIM_MS)[0]
     assert len(rules) == 7
     assert all((mask.bit_count(), lo, hi) == (3, 2, 22) for mask, lo, hi in rules)
     assert sum(mask for mask, _, _ in rules) == (1 << 22) - 2  # all but vertex 0
@@ -293,7 +309,7 @@ def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
             if not got.subsets_checked:  # a structural certificate answered
                 assert got.is_infinite and got.certificate, where
                 continue
-            rules = solver._k_end_rules(g, variant)
+            rules = solver._rules(g, variant)[0]
             if rules:
                 want_count = plain_count(g, rules, got.witness)
                 constrained += 1
@@ -443,7 +459,7 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
     for g, _ in classes7:
         if any(c.variant is Variant.LMD for c in infinite_certificates(g)):
             continue
-        rules = solver._k_end_rules(g, Variant.LMD)
+        rules = solver._rules(g, Variant.LMD)[0]
         count = sum(solver._completions(g.n, rules, 0, 0, k) for k in range(1, g.n + 1))
         assert count == plain_count(g, rules, None), g.edges
         if not rules:
@@ -524,7 +540,7 @@ def test_budget_at_the_unsat_boundary_under_a_k_end_pair(membership_calls):
     # one K-end pair (2, 4): of the 2^6 - 1 subsets, the 2^4 * 2 that hold
     # exactly one of 2 and 4 are counted
     g = parse_graph6("Eqiw")
-    assert solver._k_end_rules(g, Variant.LMD) == [(0b10100, 1, 1)]
+    assert solver._rules(g, Variant.LMD)[0] == [(0b10100, 1, 1)]
     full = dimension(g, Variant.LMD)
     assert (full.value, full.subsets_checked) == (INFINITE, 32)
     exact = dimension(g, Variant.LMD, opts=SolverOptions(subset_budget=32))
@@ -551,7 +567,7 @@ def test_twin_rules_hold_for_every_resolving_set_up_to_6(classes7):
     for g, _ in classes7:
         if g.n > 6:
             break
-        rules = {variant: solver._twin_rules(g, variant) for variant in Variant}
+        rules = {variant: sum(solver._rules(g, variant), []) for variant in Variant}
         for variant, variant_rules in rules.items():
             unsatisfiable[variant.name] += any(lo > hi for _, lo, hi in variant_rules)
         for k in range(1, g.n + 1):
@@ -583,20 +599,22 @@ def test_twin_rules_hold_for_every_resolving_set_up_to_6(classes7):
     }
 
 
-def test_k_end_rules_are_twin_rules_on_disjoint_classes(classes7):
-    # the search counts the K-end rules and only prunes with the twin rules
-    # that repeat none, which is sound when each K-end rule is a twin rule;
-    # _feasible's slot argument and _completions' product need the classes
-    # of the two lists together to be disjoint
+def test_rules_give_each_compared_twin_class_one_rule(classes7):
+    # every closed twin class, and every open one for the variants that
+    # compare non-adjacent pairs, gives one rule in exactly one of the two
+    # lists; _feasible's slot argument and _completions' product need the
+    # classes of the two lists together to be disjoint
     k_end = Counter()
     for g, _ in classes7:
         for variant in Variant:
-            rules = solver._k_end_rules(g, variant)
-            twins = solver._twin_rules(g, variant)
-            assert all(rule in twins for rule in rules), (variant, g.edges)
-            both = rules + [rule for rule in twins if rule not in rules]
+            rules, twins = solver._rules(g, variant)
+            at_most = g.n if variant.always_finite else 1
+            kinds = (True,) if variant.adjacent else (True, False)
+            classes = [vs for closed in kinds for vs in twin_classes(g, closed).values()]
+            want = sorted((sum(1 << v for v in vs), len(vs) - 1, at_most) for vs in classes)
+            assert sorted(rules + twins) == want, (variant, g.edges)
             union = 0
-            for mask, _, _ in both:
+            for mask, _, _ in rules + twins:
                 assert not union & mask, (variant, g.edges)
                 union |= mask
             k_end[variant.name] += len(rules)

@@ -1,7 +1,7 @@
 import pytest
 
 from multires import verify
-from multires.errors import NoClosedFormError
+from multires.errors import GraphValidationError, NoClosedFormError
 from multires.generators import gen, parse_family_spec
 from multires.multisets import Variant
 from multires.solver import INFINITE, certify, naive_all_dimensions
@@ -175,6 +175,8 @@ def test_corpus_scan_small():
     count, failures = corpus_scan(4)
     assert count == 1 + 1 + 4 + 38
     assert failures == []
+    with pytest.raises(GraphValidationError):
+        corpus_scan(0)
 
 
 def test_corpus_scan_examines_only_the_new_vertex_count(monkeypatch, classes7):
