@@ -7,6 +7,7 @@ search, and let the verification harness cross-check exact values.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .graph import (
     CHI_CAP,
@@ -112,6 +113,7 @@ def level_lower_bound(g, variant):
     if g.n == 1 or variant.adjacent:
         return 1
     n, D = g.n, all_pairs_distances(g).diameter
+    degrees = sorted(map(len, g.adj))
 
     def fits(k):
         if variant is Variant.DIM:
@@ -119,27 +121,33 @@ def level_lower_bound(g, variant):
         if variant is Variant.MD:
             return n <= math.comb(k + D - 1, D - 1) + math.comb(k + D - 2, D - 1)
         if D == 2:
-            return _distinct_counts(g, k) >= n - k
+            return _distinct_counts(degrees, k) >= n - k
         return n - k <= math.comb(k + D - 1, D - 1)
 
     return next((k for k in range(1, n + 1) if fits(k)), n + 1)
 
 
-def _distinct_counts(g, k):
-    """Most vertices that can have pairwise distinct counts c = |N(u) & W|.
+def _distinct_counts(degrees, k):
+    """Most vertices that can have pairwise distinct counts c = |N(u) & W|,
+    from the sorted degrees.
 
     Each vertex's c lies in an interval (`level_lower_bound`); greedy
     interval-point matching, intervals by right end and each given the
-    smallest free point, matches the most vertices.
+    smallest free point, matches the most vertices. Both ends of an interval
+    grow with the degree, so the sorted degrees give that order, and a
+    degree's run shares one interval: its walk for a free point resumes
+    where the last one stopped, and once it finds none the rest of the run
+    cannot either, since the used points only grow.
     """
-    spans = sorted(
-        (min(d, k), max(0, k - (g.n - 1 - d))) for d in map(g.degree, range(g.n))
-    )
+    n = len(degrees)
     used = set()
-    for hi, lo in spans:
-        while lo in used:
-            lo += 1
-        if lo <= hi:
+    for d, run in groupby(degrees):
+        hi, lo = min(d, k), max(0, k - (n - 1 - d))
+        for _ in run:
+            while lo in used:
+                lo += 1
+            if lo > hi:
+                break
             used.add(lo)
     return len(used)
 

@@ -13,10 +13,10 @@ distance memo holds one BFS row per vertex, filled as rows are asked for:
 `distance_row` gives one of them, and `all_pairs_distances` fills them all.
 A call that needs the distances from a few landmarks builds only their
 rows; `within_two_hops` decides "diameter <= 2" with no BFS at all. `_bfs`
-is the one breadth-first search. `bipartition` reads the parity of the
-memoized row of vertex 0, but the connectivity checks run their own BFS of
-vertex 0 and memoize nothing (`all_connected` calls `is_connected` on every
-mask), so a parsed graph whose distances are then asked for runs it twice.
+is the one breadth-first search. `bipartition` and `Graph.check_connected`,
+which every parser calls, read the memoized row of vertex 0, so a parsed
+graph runs that BFS once. Only `Graph.is_connected`, which `all_connected`
+calls on every mask, runs its own BFS and memoizes nothing.
 """
 
 from collections import deque
@@ -77,10 +77,9 @@ class Graph:
         return -1 not in _bfs(self, 0)
 
     def check_connected(self):
-        """Raise DisconnectedGraphError for 0 and the first vertex it cannot reach."""
-        dist = _bfs(self, 0)
-        if -1 in dist:
-            raise DisconnectedGraphError(0, dist.index(-1))
+        """Raise DisconnectedGraphError for 0 and the first vertex it cannot
+        reach; a connected graph keeps the BFS row of 0 in the distance memo."""
+        distance_row(self, 0)
 
     def induced(self, vertices):
         """Induced subgraph on `vertices`, relabeled 0..len(vertices)-1.
@@ -246,7 +245,9 @@ def distance_row(g, s):
     if row is None:
         dist = _bfs(g, s)
         if -1 in dist:
-            g.check_connected()
+            if s:
+                distance_row(g, 0)  # raises for the first vertex 0 cannot reach
+            raise DisconnectedGraphError(0, dist.index(-1))
         row = rows[s] = tuple(dist)
     return row
 

@@ -8,7 +8,7 @@ whole distance matrix.
 """
 
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import GraphValidationError
 from .graph import distance_row
@@ -96,8 +96,7 @@ def violating_pairs(g, W, variant):
         if u not in Wset:
             groups.setdefault(key, []).append(u)
     return sorted(
-        pair
-        for group in groups.values()
-        if len(group) > 1
-        for pair in combinations(group, 2)
+        chain.from_iterable(
+            combinations(group, 2) for group in groups.values() if len(group) > 1
+        )
     )

@@ -28,40 +28,53 @@ subset costs one big-integer add or OR and one test instead of n sorted
 keys. The pairs in scope are all pairs for DIM, MD and DIM_MS, and the
 edges for LDIM, LMD and LDIM_MS.
 
-- multiset kinds: the key of u is the sum over w in W of (n+1)**d(u, w),
-  equal for two vertices iff their distance multisets are equal. For the
-  outer scopes, w's own entry in its column is a distinct negative sentinel,
-  which takes W's vertices out of every comparison. The kernel keeps one
-  key difference per pair, packed into one integer (below), and tests that
-  none is 0.
+- multiset kinds: the key of u is the sum over w in W of f(d(u, w)), a
+  mixed-radix number (below) equal for two vertices iff their distance
+  multisets are equal. For the outer scopes, w's own entry in its column is
+  a distinct negative sentinel, which takes W's vertices out of every
+  comparison. The kernel keeps one key difference per pair, packed into
+  one integer (below), and tests that none is 0.
 - vector kinds: column w is a bitmask of the pairs that w separates; W
   resolves iff the OR of its columns has every bit set.
 
 Multiset kinds, one integer per subset. `_columns(g, variant)` is the only
-code that knows this lane format. Pair i in scope owns the L-bit lane
-[L*i, L*(i+1)). Lane i of column w holds the signed key difference
-key_w(u) - key_w(v) of the pair (u, v): column w is sum over u of
-key_w(u) * E[u], where the incidence integer E[u] holds +1 in the lanes of
-the pairs (u, v) and -1 in those of (v, u). `bias` exceeds every |key
-difference|, with D the diameter. In the all and adjacent scopes every key
-is (n+1)**d with 0 <= d <= D, so |diff| <= (n+1)**D - 1 < (n+1)**D = bias.
-In the outer scopes a column's one sentinel -(w+1)*top, with w < n and
-top = (n+1)**(D+1), gives |diff| <= n*top + (n+1)**D < (n+1)*top =
-(n+1)**(D+2) = bias. Both searches start a subset's value acc at
-base = n*bias*low, where low has a 1 in every lane, and add the columns of
-its landmarks. An integer is linear in its lanes, and a sum of k <= n
-differences lies in (-n*bias, n*bias), so every lane of acc lies in
-(0, 2n*bias) at every level, and equals n*bias iff its pair's key
-difference is 0. L = (2*n*bias).bit_length() + 1 keeps every lane below
-2**(L-1): no lane borrows from or carries into the next, and every lane's
-top bit stays clear. With high = low << (L-1), the lanes' top bits, and
-target = base | high, lane i of y = acc ^ target is 2**(L-1) + z_i, with
-z_i < 2**(L-1) and z_i = 0 iff the difference is 0 (acc's top bits are
-clear, so the XOR sets them all). W resolves iff (y - low) & high == high.
-The test is exact (a zero-lane test; Warren, "Hacker's Delight", 6-1): with
-every top bit set first, every lane is at least 1, so subtracting low
-borrows nowhere, and lane i keeps its top bit iff z_i >= 1. For the vector
-kinds `_columns` returns the bitmask columns with base, target and low 0.
+code that knows this lane format. The key: with D the diameter and Delta
+the maximum degree, the radices are r_0 = 2 and
+r_d = min(n-1, Delta*(Delta-1)**(d-1)) + 1 for 1 <= d < D, the place values
+f(d) = r_0 * ... * r_(d-1) for d < D and f(D) = 0, and
+F = r_0 * ... * r_(D-1). So key_W(u) = sum over d < D of c_d * f(d), where
+c_d counts W's vertices at distance d from u. Only u is at distance 0 from
+u, and no vertex has more than min(n-1, Delta*(Delta-1)**(d-1)) vertices
+at distance d >= 1 (the Moore bound), so c_d < r_d: the c_d are the digits
+of the key in this mixed radix, the key lies in [0, F), and two keys are
+equal iff their digits are. c_D = |W| - (c_0 + ... + c_(D-1)) follows from
+them, since every vertex has |W| distances to W, so two keys are equal iff
+the multisets are. In the outer scopes w's own entry in its column is the
+sentinel -(w+1)*F, so the key of w in W lies in [-(w+1)*F, -w*F): below
+every key outside W and apart from every other landmark's key.
+
+Pair i in scope owns the L-bit lane [L*i, L*(i+1)). Lane i of column w
+holds the signed key difference key_w(u) - key_w(v) of the pair (u, v):
+column w is sum over u of key_w(u) * E[u], where the incidence integer
+E[u] holds +1 in the lanes of the pairs (u, v) and -1 in those of (v, u).
+B exceeds |key_W(u) - key_W(v)| for every W: in the all and adjacent
+scopes every key lies in [0, F), so |diff| < F = B, and in the outer
+scopes in [-n*F, F), so |diff| < (n+1)*F = B. Both searches start a
+subset's value acc at base = B*low, where low has a 1 in every lane, and
+add the columns of its landmarks. An integer is linear in its lanes, so
+lane i of acc is B plus the key difference of its pair under the
+landmarks added so far: it lies in (0, 2B) at every level, and equals B
+iff that difference is 0. L = (2*B).bit_length() + 1 keeps every lane
+below 2**(L-1): no lane borrows from or carries into the next, and every
+lane's top bit stays clear. With high = low << (L-1), the lanes' top bits,
+and target = base | high, lane i of y = acc ^ target is 2**(L-1) + z_i,
+with z_i < 2**(L-1) and z_i = 0 iff the difference is 0 (acc's top bits
+are clear, so the XOR sets them all). W resolves iff
+(y - low) & high == high. The test is exact (a zero-lane test; Warren,
+"Hacker's Delight", 6-1): with every top bit set first, every lane is at
+least 1, so subtracting low borrows nowhere, and lane i keeps its top bit
+iff z_i >= 1. For the vector kinds `_columns` returns the bitmask columns
+with base, target and low 0.
 
 The order and the budget count are those of the plain loop, so witnesses
 and `subsets_checked` are the same. A rule (mask, at_least, at_most) bounds
@@ -172,7 +185,7 @@ loop's budget error when that sum passes the budget.
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
@@ -309,30 +322,44 @@ def _columns(g, variant):
     landmarks' columns, and it resolves iff ((value ^ target) - low) & full
     == full."""
     dm = all_pairs_distances(g)
-    n = g.n
-    # in-scope pairs; the sentinels below settle outer pairs with an end in W
-    pairs = g.edges if variant.adjacent else list(combinations(range(n), 2))
+    n, D = g.n, dm.diameter
     if variant.kind == "vector":
-        # bit i of column w is set when w separates pairs[i] (dm.d[w][u] is d(u, w))
-        cols = [
-            sum(1 << i for i, (u, v) in enumerate(pairs) if row[u] != row[v])
-            for row in dm.d
-        ]
-        return cols, 0, 0, 0, (1 << len(pairs)) - 1
-    # key_w(u) = (n+1)**d(u, w) as row w: a landmark set's key of u is the
-    # sum of its rows' entries at u, whose base-(n+1) digits count the
-    # landmarks at each distance from u (no count exceeds n)
-    powers = [(n + 1) ** d for d in range(dm.diameter + 1)]
-    keys = [list(map(powers.__getitem__, row)) for row in dm.d]
+        if variant.adjacent:
+            # bit i of column w is set when w separates edge i (row[u] is d(u, w))
+            cols = [
+                sum(1 << i for i, (u, v) in enumerate(g.edges) if row[u] != row[v])
+                for row in dm.d
+            ]
+            return cols, 0, 0, 0, (1 << len(g.edges)) - 1
+        # pair (u, v), u < v, is bit off[u] + v - u - 1 (combinations order),
+        # and u's block of column w holds the later vertices not at distance
+        # d(u, w) from w
+        off = list(accumulate(range(n - 1, 0, -1), initial=0))
+        cols = []
+        for row in dm.d:
+            apart = [(1 << n) - 1] * (D + 1)  # apart[d]: not at distance d from w
+            for u, d in enumerate(row):
+                apart[d] ^= 1 << u
+            cols.append(sum(apart[d] >> u + 1 << off[u] for u, d in enumerate(row)))
+        return cols, 0, 0, 0, (1 << off[-1]) - 1
+    # key_w(u) = f(d(u, w)) as row w: f is the place values of the radices
+    # r_d, which bound the count of landmarks at distance d < D from a vertex
+    delta = max(map(len, g.adj))
+    radix = [
+        min(n - 1, delta * (delta - 1) ** (d - 1)) + 1 if d else 2 for d in range(D)
+    ]
+    place = list(accumulate(radix, mul, initial=1))
+    F, place[D] = place[D], 0  # every key lies in [0, F)
+    keys = [list(map(place.__getitem__, row)) for row in dm.d]
     if variant.outer:
-        # a landmark's own entry is a sentinel: `top` exceeds every key, so
-        # the key of w in W lies in [-(w+1)*top, -w*top), below every key
-        # outside W and apart from the other landmarks' keys
-        top = (n + 1) ** (dm.diameter + 1)
+        # a landmark's own entry is a sentinel: the key of w in W lies in
+        # [-(w+1)*F, -w*F), below every key outside W and apart from the
+        # other landmarks' keys
         for w, row in enumerate(keys):
-            row[w] = -(w + 1) * top
-    bias = (n + 1) ** (dm.diameter + (2 if variant.outer else 0))
-    L = (2 * n * bias).bit_length() + 1
+            row[w] = -(w + 1) * F
+    B = (n + 1) * F if variant.outer else F  # exceeds every |key difference|
+    L = (2 * B).bit_length() + 1
+    pairs = g.edges if variant.adjacent else list(combinations(range(n), 2))
     E = [0] * n  # E[u]: +1 in the lanes of the pairs (u, v), -1 in (v, u)
     for i, (u, v) in enumerate(pairs):
         lane = 1 << L * i
@@ -340,7 +367,7 @@ def _columns(g, variant):
         E[v] -= lane
     low = ((1 << L * len(pairs)) - 1) // ((1 << L) - 1)
     high = low << (L - 1)
-    base = n * bias * low
+    base = B * low
     return [sum(map(mul, row, E)) for row in keys], base, base | high, low, high
 
 

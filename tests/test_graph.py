@@ -328,6 +328,14 @@ def test_distance_rows_are_shared_with_the_matrix(bfs_sources):
     assert sorted(bfs_sources) == list(range(7))
 
 
+def test_a_parsed_graph_runs_each_bfs_once(bfs_sources):
+    # the parser's connectivity check is the memoized row of vertex 0
+    g = parse_graph6("IheA@GUAo")  # Petersen, n = 10
+    assert bfs_sources == [0]
+    all_pairs_distances(g)
+    assert sorted(bfs_sources) == list(range(10))
+
+
 def test_clique_cap_is_checked_on_a_memo_hit():
     maximal_cliques(gen_complete(5))
     with pytest.raises(CapExceededError):

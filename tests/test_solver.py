@@ -320,9 +320,10 @@ def test_kernel_matches_naive_on_every_class_up_to_6(classes7):
 
 
 def test_widest_lanes_at_the_cap_match_naive():
-    # gadget:8 has n = 20 at the solver cap and diameter 10; DIM_MS packs
-    # C(20, 2) = 190 pair lanes with the outer bias 21**12, the widest lanes
-    # the kernel builds
+    # gadget:8 has n = 20 at the solver cap, diameter 10 and maximum degree
+    # 10, so the key's radix bound is loose; DIM_MS packs C(20, 2) = 190
+    # pair lanes of 46 bits (B = 21 * F, F = 2 * 11 * 20**8), the widest
+    # lanes of the graphs the tests solve
     g = gen_clique_gadget(8).graph
     assert (g.n, all_pairs_distances(g).diameter) == (20, 10)
     variants = [Variant.MD, Variant.DIM_MS, Variant.LMD, Variant.LDIM_MS]
@@ -346,6 +347,9 @@ def check_lane_format(g, variant, subsets):
         acc = reduce(extend, (cols[w] for w in W), base)
         resolves = ((acc ^ target) - low) & full == full
         assert resolves == is_resolving(g, W, variant), (variant, g.edges, W)
+        if variant.kind == "multiset":
+            # no lane carried into its top bit or borrowed from the next
+            assert acc & full == 0, (variant, g.edges, W)
     # the bit of full that each pair's lane or bit keeps, in pair order
     d = all_pairs_distances(g).d
     pairs = g.edges if variant.adjacent else list(combinations(range(g.n), 2))
@@ -362,15 +366,29 @@ def check_lane_format(g, variant, subsets):
         assert final[w] == want, (variant, g.edges, w)
 
 
+def every_subset(g):
+    return [W for k in range(1, g.n + 1) for W in combinations(range(g.n), k)]
+
+
 def test_lane_format_matches_the_definitions():
-    # every nonempty W on the classes with n <= 5, and five seeded subsets
-    # of each size on two graphs at the solver cap
-    cases = [
-        (g, [W for k in range(1, g.n + 1) for W in combinations(range(g.n), k)])
-        for g, _ in connected_classes(5)
+    # every nonempty W on the classes with n <= 5 and on the edge cases of
+    # the key's radix bound: K_1 (diameter 0, no digit), K_5 (diameter 1,
+    # only the 0 digit), P_7 (maximum degree 2, where the bound is exact),
+    # a star (diameter 2, maximum degree n - 1) and a tree of maximum
+    # degree 3 whose vertex 2 has 5 vertices at distance 2, near the Moore
+    # bound 3 * 2 (a smaller radix makes keys collide); five seeded subsets
+    # of each size on C_16 (exact again), gadget:8 (a loose bound) and
+    # wheel:19, the last two at the solver cap
+    cases = [(g, every_subset(g)) for g, _ in connected_classes(5)]
+    edge_cases = [
+        gen(parse_family_spec(spec))
+        for spec in ("complete:1", "complete:5", "path:7", "star:6")
     ]
+    tree = [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 6), (4, 7), (4, 8), (5, 9)]
+    edge_cases.append(Graph(11, tree + [(5, 10)]))
+    cases += [(g, every_subset(g)) for g in edge_cases]
     rng = random.Random(19)
-    for spec in ("gadget:8", "wheel:19"):
+    for spec in ("cycle:16", "gadget:8", "wheel:19"):
         g = gen(parse_family_spec(spec))
         subsets = [
             tuple(sorted(rng.sample(range(g.n), k)))
@@ -381,6 +399,27 @@ def test_lane_format_matches_the_definitions():
     for g, subsets in cases:
         for variant in Variant:
             check_lane_format(g, variant, subsets)
+
+
+LANE_BITS = [
+    ("wheel:19", 8, 12),
+    ("cycle:16", 15, 19),
+    ("gadget:8", 42, 46),
+    ("corona:path:5/2,2,2,2,2", 21, 25),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, bits, outer_bits", LANE_BITS, ids=[spec for spec, *_ in LANE_BITS]
+)
+def test_lanes_are_as_wide_as_the_keys_need(spec, bits, outer_bits):
+    # L = (2*B).bit_length() + 1 with B = F for MD and LMD and B = (n+1)*F
+    # for DIM_MS and LDIM_MS, F the bound of the mixed-radix keys
+    g = gen(parse_family_spec(spec))
+    for variant in (Variant.MD, Variant.LMD, Variant.DIM_MS, Variant.LDIM_MS):
+        full = solver._columns(g, variant)[4]
+        lane = (full & -full).bit_length()  # full holds each lane's top bit
+        assert lane == (outer_bits if variant.outer else bits), variant
 
 
 JOIN = "join:cycle:9+cycle:9"  # n = 18
@@ -479,10 +518,9 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
 
 def test_membership_search_takes_every_vertex_when_they_resolve():
     # take-before-skip reaches V first, and tests every lane there. A path
-    # on 0..8 with a leaf 9 at its centre: n = 10, diameter 8, so
-    # 2*n*bias = 20 * 11**8 lies just below 2**32 and L = 33. A lane of base
-    # is 10 * 11**8, just below 2**31, and two lanes of base plus all ten
-    # columns pass 2**31: they fill all 32 bits below each lane's top bit.
+    # on 0..8 with a leaf 9 at its centre: n = 10, diameter 8 and maximum
+    # degree 3, so the radices are 2, 4, 7 and then 10 (n - 1 caps the
+    # Moore bound), F = 2 * 4 * 7 * 10**5 = 5 600 000 and L = 25
     g = Graph(10, [(i, i + 1) for i in range(8)] + [(4, 9)])
     assert all_pairs_distances(g).diameter == 8
     assert is_resolving(g, tuple(range(10)), Variant.LMD)
