@@ -57,6 +57,7 @@ from .solver import (
     certify,
     dimension,
     naive_all_dimensions,
+    resolving_sets,
     solve_all,
 )
 from .verify import (
@@ -114,6 +115,7 @@ __all__ = [
     "parse_edge_list",
     "parse_family_spec",
     "parse_graph6",
+    "resolving_sets",
     "run_all",
     "run_theorem",
     "solve_all",

@@ -12,7 +12,8 @@ twin rules), and `maximal_cliques` serves only `clique_number`. The
 distance memo holds one BFS row per vertex, filled as rows are asked for:
 `distance_row` gives one of them, and `all_pairs_distances` fills them all.
 A call that needs the distances from a few landmarks builds only their
-rows; `within_two_hops` decides "diameter <= 2" with no BFS at all. `_bfs`
+rows; `within_two_hops` decides "diameter <= 2" with no BFS at all, by the
+Moore bound on a two-hop ball and then closed-neighbourhood bitmasks. `_bfs`
 is the one breadth-first search. `bipartition` and `Graph.check_connected`,
 which every parser calls, read the memoized row of vertex 0, so a parsed
 graph runs that BFS once. Only `Graph.is_connected`, which `all_connected`
@@ -260,18 +261,29 @@ def all_pairs_distances(g):
 
 
 def within_two_hops(g):
-    """True iff every two non-adjacent vertices share a neighbour.
+    """True iff every vertex is within two hops of every other.
 
-    On a connected graph this is diameter <= 2. The scan stops at the first
-    pair with no common neighbour, and each pair costs at most
-    min(deg u, deg v), so it never costs more than all-pairs BFS.
+    On a connected graph this is diameter <= 2. A two-hop ball holds at most
+    1 + Delta**2 vertices (the Moore bound), so n - 1 > Delta**2 answers no
+    at once. Otherwise each vertex u must reach every vertex through the
+    union of N[v] over v in N[u], as bitmasks; the closed neighbourhoods are
+    built as the balls read them, so a sparse graph fails at vertex 0 after
+    building only those of its neighbours.
     """
-    adj = g.adj
-    return all(
-        v in adj[u] or not adj[u].isdisjoint(adj[v])
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-    )
+    adj, n = g.adj, g.n
+    if n - 1 > max(map(len, adj)) ** 2:
+        return False
+    every = (1 << n) - 1
+    closed = [0] * n  # N[v] as a bitmask, 0 until first read
+    for u in range(n):
+        ball = 0
+        for v in (u, *adj[u]):
+            if not closed[v]:
+                closed[v] = sum(map((1).__lshift__, adj[v])) | 1 << v
+            ball |= closed[v]
+        if ball != every:
+            return False
+    return True
 
 
 def bipartition(g):

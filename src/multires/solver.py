@@ -37,6 +37,12 @@ edges for LDIM, LMD and LDIM_MS.
 - vector kinds: column w is a bitmask of the pairs that w separates; W
   resolves iff the OR of its columns has every bit set.
 
+Bipartite graphs (LDIM, LMD and LDIM_MS). No edge of a connected
+bipartite graph joins two vertices equally far from vertex 0, so {0}, the
+plain loop's first subset, resolves every edge; with no triangle there is
+no K-end rule and no certificate. `dimension()` returns it, counted as one
+subset, before it builds certificates, rules or columns.
+
 Multiset kinds, one integer per subset. `_columns(g, variant)` is the only
 code that knows this lane format. The key: with D the diameter and Delta
 the maximum degree, the radices are r_0 = 2 and
@@ -57,6 +63,9 @@ Pair i in scope owns the L-bit lane [L*i, L*(i+1)). Lane i of column w
 holds the signed key difference key_w(u) - key_w(v) of the pair (u, v):
 column w is sum over u of key_w(u) * E[u], where the incidence integer
 E[u] holds +1 in the lanes of the pairs (u, v) and -1 in those of (v, u).
+For all pairs, `_pair_incidence` builds E[u] from two blocks of unit lanes,
+u's own pairs and a running sum of its pairs (v, u), in O(n) big-integer
+operations; the edge scopes add one lane per edge.
 B exceeds |key_W(u) - key_W(v)| for every W: in the all and adjacent
 scopes every key lies in [0, F), so |diff| < F = B, and in the outer
 scopes in [-n*F, F), so |diff| < (n+1)*F = B. Both searches start a
@@ -150,6 +159,12 @@ chosen, leaves unresolved stays so in every completion.
 level and in any lane order: with every top bit set first, subtracting low
 borrows nowhere, and a bit that no later column sets stays clear.
 
+All resolving sets. `resolving_sets(g, variant, k)` lists every resolving
+k-set in lexicographic order by the same lane test on base plus (for
+vector kinds, OR) the columns of each set. The test is exact on every
+subset, so it needs no K-end rule: a set that breaks one never resolves.
+The theorem harness reads the minimum bases of the wheel lemma from it.
+
 Membership walk (LMD). Many graphs have an infinite LMD that no
 certificate covers. `_membership_search` decides whether any W that
 passes the K-end rules resolves, by a depth-first walk over i = 0..n-1
@@ -185,12 +200,13 @@ loop's budget error when that sum passes the budget.
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
-from .graph import all_pairs_distances, k_end_groups, twin_classes
+from .graph import all_pairs_distances, bipartition, k_end_groups, twin_classes
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
@@ -316,6 +332,20 @@ def _completions(n, rules, chosen, first, slots):
     return product >> bits * slots & (1 << bits) - 1
 
 
+def _pair_incidence(n, L):
+    """E[u], +1 in the L-bit lanes of the pairs (u, v) and -1 in those of
+    (v, u), for all pairs u < v in combinations order, by vertex block."""
+    # pair (u, v) is lane off[u] + v - u - 1: u's own pairs are the n - 1 - u
+    # lanes from off[u] on, and N holds the lanes of u's pairs (v, u), v < u
+    off = accumulate(range(n - 1, 0, -1), initial=0)
+    ones = ((1 << L * (n - 1)) - 1) // ((1 << L) - 1)  # n - 1 unit lanes
+    E, N = [], 0
+    for u, start in enumerate(off):
+        E.append((ones >> L * u << L * start) - N)
+        N = (N << L) + (1 << L * start)
+    return E
+
+
 def _columns(g, variant):
     """(cols, base, target, low, full) in the lane format of the module
     docstring: a subset's value is base plus (for vector kinds, OR) its
@@ -359,13 +389,16 @@ def _columns(g, variant):
             row[w] = -(w + 1) * F
     B = (n + 1) * F if variant.outer else F  # exceeds every |key difference|
     L = (2 * B).bit_length() + 1
-    pairs = g.edges if variant.adjacent else list(combinations(range(n), 2))
-    E = [0] * n  # E[u]: +1 in the lanes of the pairs (u, v), -1 in (v, u)
-    for i, (u, v) in enumerate(pairs):
-        lane = 1 << L * i
-        E[u] += lane
-        E[v] -= lane
-    low = ((1 << L * len(pairs)) - 1) // ((1 << L) - 1)
+    if variant.adjacent:
+        E = [0] * n  # E[u]: +1 in the lanes of the edges (u, v), -1 in (v, u)
+        for i, (u, v) in enumerate(g.edges):
+            lane = 1 << L * i
+            E[u] += lane
+            E[v] -= lane
+        lanes = len(g.edges)
+    else:
+        E, lanes = _pair_incidence(n, L), n * (n - 1) // 2
+    low = ((1 << L * lanes) - 1) // ((1 << L) - 1)
     high = low << (L - 1)
     base = B * low
     return [sum(map(mul, row, E)) for row in keys], base, base | high, low, high
@@ -515,7 +548,12 @@ def dimension(g, variant, opts=None):
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
     W, examined, certificate = None, 0, None
-    if not variant.always_finite:
+    if variant.adjacent and bipartition(g) is not None:
+        # {0}, the plain loop's first subset, resolves (module docstring)
+        if budget == 0:
+            raise BudgetExhaustedError(0, 0)
+        W, examined = (0,), 1
+    elif not variant.always_finite:
         certificate = next(
             (
                 f"{cert.kind}: {cert.description}"
@@ -524,7 +562,7 @@ def dimension(g, variant, opts=None):
             ),
             None,
         )
-    if certificate is None:
+    if W is None and certificate is None:
         W, examined = _first_resolving(g, variant, budget)
         if W is None:
             if variant.always_finite:
@@ -541,6 +579,24 @@ def dimension(g, variant, opts=None):
         certificate=certificate,
         elapsed_ms=_elapsed_ms(t0),
     )
+
+
+def resolving_sets(g, variant, k):
+    """Every resolving k-set, in lexicographic order, each tested by the
+    kernel's lane test on `_columns` (module docstring), which is exact on
+    every subset: a set that breaks a K-end rule never resolves."""
+    if k < 1:
+        raise GraphValidationError(f"resolving_sets needs k >= 1, got {k}")
+    cols, base, target, low, full = _columns(g, variant)
+    extend = or_ if variant.kind == "vector" else add
+    found = []
+    # one value per (k-1)-prefix, then one extend and test per last landmark
+    for prefix in combinations(range(g.n - 1), k - 1):
+        acc = reduce(extend, map(cols.__getitem__, prefix), base)
+        for w in range(prefix[-1] + 1 if prefix else 0, g.n):
+            if ((extend(acc, cols[w]) ^ target) - low) & full == full:
+                found.append(prefix + (w,))
+    return found
 
 
 def naive_all_dimensions(g, variants=None):

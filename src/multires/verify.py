@@ -9,7 +9,7 @@ NoClosedFormError.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .bounds import (
     dms_extremal_check,
@@ -27,8 +27,15 @@ from .generators import (
     parse_family_spec,
 )
 from .graph import all_pairs_distances, bipartition, clique_number, twin_classes, two_core
-from .multisets import Variant, is_resolving
-from .solver import INFINITE, certify, dimension, naive_all_dimensions, show_value
+from .multisets import Variant
+from .solver import (
+    INFINITE,
+    certify,
+    dimension,
+    naive_all_dimensions,
+    resolving_sets,
+    show_value,
+)
 
 
 def _ceil_div(a, b):
@@ -339,11 +346,6 @@ def _unicyclic(instances=UNICYCLIC_INSTANCES, **_):
     return (FamilySpec("unicyclic", (c,) + tuple(parents)) for c, parents in instances)
 
 
-def minimum_resolving_sets(g, variant, size):
-    """All resolving sets of the given (minimum) cardinality."""
-    return [W for W in combinations(range(g.n), size) if is_resolving(g, W, variant)]
-
-
 def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
     """Necessary-condition check on every minimum wheel resolving set.
 
@@ -361,7 +363,7 @@ def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), 
             result = dimension(g, variant)
             if result.is_infinite:
                 continue
-            for W in minimum_resolving_sets(g, variant, int(result.value)):
+            for W in resolving_sets(g, variant, int(result.value)):
                 check.add_flag(
                     f"wheel:{n} W={W}",
                     f"{variant.name.lower()}_path_structure",
@@ -490,9 +492,11 @@ def check_maxsubgraph_sharpness(check, **_):
         g = gen(spec)
         core, vertices = two_core(g)
         check.add(spec, "core_vertices", tuple(range(base.n)), vertices)
-        for variant in (Variant.LMD, Variant.LDIM_MS):
-            core_val = dimension(core, variant).value
-            val = dimension(g, variant).value
+        # each graph's solves in a row: a solve of the other graph evicts it
+        # from the one-graph memos
+        core_vals = [dimension(core, variant).value for variant in LOCAL_VARIANTS]
+        vals = [dimension(g, variant).value for variant in LOCAL_VARIANTS]
+        for variant, core_val, val in zip(LOCAL_VARIANTS, core_vals, vals):
             name = variant.name.lower()
             check.add_flag(spec, f"{name}_le_core", val <= core_val)
             if variant is Variant.LDIM_MS or base.n % 2 == 0:

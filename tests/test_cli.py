@@ -199,6 +199,17 @@ def test_budget_exit_code(capsys):
     assert "inconclusive" in err
 
 
+@pytest.mark.parametrize("variant", ["ldim", "lmd", "ldim_ms"])
+def test_budget_zero_on_a_bipartite_graph_exits_2(capsys, variant):
+    # {0} resolves every edge of a bipartite graph, but counting it needs a
+    # budget of 1, as in the plain loop
+    code, _, err = run(
+        capsys, "compute", "--gen", "cycle:6", "--variant", variant, "--budget", "0"
+    )
+    assert code == 2
+    assert "inconclusive" in err
+
+
 def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "gen", "hexagon:6")
     assert code == 1

@@ -396,12 +396,23 @@ def test_disconnected_graph_names_the_first_vertex_unreachable_from_0(call):
         (parse_graph6("IheA@GUAo"), True),  # Petersen
         (gen_path(4), False),
         (gen_cycle(6), False),
+        (gen_wheel(300), True),  # the hub's ball is every vertex
+        (gen_cycle(400), False),  # n - 1 > Delta**2: no ball is built
+        (gen_star(40), True),
     ],
-    ids=["k1", "k2", "p3", "c5", "wheel", "petersen", "p4", "c6"],
+    ids=[
+        "k1", "k2", "p3", "c5", "wheel", "petersen", "p4", "c6",
+        "wheel300", "c400", "star40",
+    ],
 )
 def test_within_two_hops_named_graphs(g, expected):
     assert within_two_hops(g) == expected
     assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2)
+
+
+def test_within_two_hops_on_every_class_up_to_7(classes7):
+    for g, _ in classes7:
+        assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2), g.edges
 
 
 @settings(max_examples=200, deadline=None)

@@ -30,7 +30,13 @@ from multires.generators import (
     gen_wheel,
     parse_family_spec,
 )
-from multires.graph import Graph, all_pairs_distances, parse_graph6, twin_classes
+from multires.graph import (
+    Graph,
+    all_pairs_distances,
+    bipartition,
+    parse_graph6,
+    twin_classes,
+)
 from multires.multisets import Variant, is_resolving
 from multires.solver import (
     INFINITE,
@@ -38,6 +44,7 @@ from multires.solver import (
     certify,
     dimension,
     naive_all_dimensions,
+    resolving_sets,
     solve_all,
 )
 
@@ -126,8 +133,15 @@ def test_budget_is_conclusive_or_raises():
         (gen_wheel(8), Variant.DIM_MS),
         # md is infinite; the open twins 1, 2 cut the last subset, V
         (parse_graph6("EsXo"), Variant.MD),
+        # the bipartite shortcut counts {0}, so a budget of 0 raises (0, 0)
+        (gen_cycle(6), Variant.LDIM),
+        (gen_cycle(6), Variant.LMD),
+        (gen_cycle(6), Variant.LDIM_MS),
     ],
-    ids=["finite", "exhausted", "outer", "exhausted_in_a_twin_cut"],
+    ids=[
+        "finite", "exhausted", "outer", "exhausted_in_a_twin_cut",
+        "bipartite_ldim", "bipartite_lmd", "bipartite_ldim_ms",
+    ],
 )
 def test_budget_boundary(g, variant):
     full = dimension(g, variant)
@@ -195,6 +209,30 @@ def test_a_solve_leaves_no_garbage():
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def test_bipartite_graphs_need_no_search(classes7, monkeypatch):
+    # no edge of a bipartite graph joins two vertices equally far from 0, so
+    # {0} resolves the adjacent scopes, as the plain loop's first subset
+    local = (Variant.LDIM, Variant.LMD, Variant.LDIM_MS)
+    bipartite = [g for g, _ in classes7 if bipartition(g) is not None]
+    searched = {
+        (g, variant): solver._first_resolving(g, variant, None)
+        for g in bipartite
+        for variant in local
+    }
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the bipartite shortcut built a certificate or columns")
+
+    monkeypatch.setattr(solver, "_columns", unreachable)
+    monkeypatch.setattr(solver, "infinite_certificates", unreachable)
+    for (g, variant), found in searched.items():
+        r = dimension(g, variant)
+        got = (r.value, r.witness, r.subsets_checked, r.certificate)
+        assert got == (1, (0,), 1, None), (variant, g.edges)
+        assert found == ((0,), 1), (variant, g.edges)
+    assert len(bipartite) == 72  # 1 + 1 + 1 + 3 + 5 + 17 + 44 for n = 1..7
 
 
 def test_k_end_rules_lmd_pair_rule():
@@ -399,6 +437,40 @@ def test_lane_format_matches_the_definitions():
     for g, subsets in cases:
         for variant in Variant:
             check_lane_format(g, variant, subsets)
+
+
+def test_pair_incidence_matches_the_per_pair_loop():
+    # E[u] has +1 in the lane of each pair (u, v) and -1 in each (v, u)
+    for n in range(1, 21):
+        for L in (3, 8, 15, 46):
+            E = [0] * n
+            for i, (u, v) in enumerate(combinations(range(n), 2)):
+                E[u] += 1 << L * i
+                E[v] -= 1 << L * i
+            assert solver._pair_incidence(n, L) == E, (n, L)
+
+
+def test_resolving_sets_match_the_definitions():
+    # every k on the classes with n <= 5, and the minimum bases of the local
+    # multiset variants on wheel:4-12, which the wheel lemma reads
+    cases = [
+        (g, variant, k)
+        for g, _ in connected_classes(5)
+        for variant in Variant
+        for k in range(1, g.n + 1)
+    ]
+    for n in range(4, 13):
+        g = gen_wheel(n)
+        for variant in (Variant.LMD, Variant.LDIM_MS):
+            value = dimension(g, variant).value
+            if value != INFINITE:
+                cases.append((g, variant, value))
+    for g, variant, k in cases:
+        want = [W for W in combinations(range(g.n), k) if is_resolving(g, W, variant)]
+        assert resolving_sets(g, variant, k) == want, (variant, g.edges, k)
+    # like is_resolving, it rejects the empty set
+    with pytest.raises(GraphValidationError):
+        resolving_sets(gen_cycle(5), Variant.LMD, 0)
 
 
 LANE_BITS = [
