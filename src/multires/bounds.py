@@ -6,7 +6,6 @@ search, and let the verification harness cross-check exact values.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 
 from .graph import (
@@ -18,6 +17,7 @@ from .graph import (
     clique_number,
     distance_row,
     k_end_groups,
+    memoized,
     twin_classes,
     within_two_hops,
 )
@@ -162,15 +162,11 @@ def is_complete(g):
 
 
 def is_path_graph(g):
-    degs = sorted(g.degree(u) for u in range(g.n))
-    if g.n == 1:
-        return True
-    if g.n == 2:
-        return degs == [1, 1]
-    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:]) and g.is_connected()
+    """A connected tree (n - 1 edges) with no vertex of degree 3 or more."""
+    return len(g.edges) == g.n - 1 and max(map(len, g.adj)) <= 2 and g.is_connected()
 
 
-@lru_cache(maxsize=1)
+@memoized
 def infinite_certificates(g, cap=OMEGA_CAP):
     """Structural proofs of infiniteness for MD and LMD, as a tuple.
 
@@ -181,9 +177,9 @@ def infinite_certificates(g, cap=OMEGA_CAP):
     but the LMD one is derived only for n <= cap; above it, `lower_bounds`
     lists it as skipped.
 
-    Memoized for the most recent graph and cap, like the memos of `graph`,
-    so the MD and LMD solves of one graph derive them once. A disconnected
-    graph raises on every call: `lru_cache` keeps no exceptions. The
+    Memoized on the graph for each cap (`graph.memoized`), so the MD and
+    LMD solves of one graph derive them once. A disconnected graph raises
+    on every call, since a call that raises stores nothing. The
     connectivity check is the memoized BFS row of vertex 0, which
     `bipartition` and the distance matrix share.
     """

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 input error, 2 cap or budget exceeded, 3 a
-verification or certification failed.
+verification or certification failed; 0 also when the reader closes stdout.
 """
 
 import argparse
@@ -250,7 +250,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (CapExceededError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -24,6 +24,7 @@ from .errors import CapExceededError, GraphValidationError
 from .graph import Graph
 
 ALL_CONNECTED_CAP = 7
+CORPUS_CAP = 8  # 11 117 classes on 8 vertices, 261 080 on 9
 
 
 @dataclass(frozen=True)
@@ -365,26 +366,30 @@ def connected_classes(n_max):
     automorphism of the smaller graph maps onto each other give isomorphic
     graphs, so only the first of each orbit is tried (McKay 1998,
     "Isomorph-free exhaustive generation"). Each class keeps the first
-    graph that reached it, so the order and labels are deterministic.
+    graph that reached it, so the order and labels are deterministic. A
+    layer keeps its classes as edges, so what is memoized on a yielded graph
+    is freed with it. Above CORPUS_CAP it raises before building any class.
     """
     if n_max < 1:
         raise GraphValidationError("connected_classes needs n_max >= 1")
-    layer = [(Graph(1, ()), [(0,)])]
-    yield layer[0][0], 1
+    if n_max > CORPUS_CAP:
+        raise CapExceededError("connected class enumeration", n_max, CORPUS_CAP)
+    layer = [((), [(0,)])]
+    yield Graph(1, ()), 1
     for n in range(2, n_max + 1):
         seen = set()
         nxt = []
-        for h, automorphisms in layer:
+        for edges, automorphisms in layer:
             tried = set()
             for mask in range(1, 1 << (n - 1)):
                 if mask in tried:
                     continue
                 nbhd = [u for u in range(n - 1) if mask >> u & 1]
                 tried.update(sum(1 << p[u] for u in nbhd) for p in automorphisms)
-                g = Graph(n, h.edges + tuple((u, n - 1) for u in nbhd))
+                g = Graph(n, edges + tuple((u, n - 1) for u in nbhd))
                 code, aut = canonical_form(g)
                 if code not in seen:
                     seen.add(code)
-                    nxt.append((g, aut))
+                    nxt.append((g.edges, aut))
                     yield g, len(aut)
         layer = nxt

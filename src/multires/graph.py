@@ -1,27 +1,29 @@
 """Graph representation, ingestion, distances and classical invariants.
 
 Vertices are dense integers 0..n-1. Graphs are simple, undirected and, for
-every dimension computation, connected. All structures here are immutable
-after construction.
+every dimension computation, connected.
 
-Only this module builds distances and cliques, memoized for the most recent
-graph. The solver needs no cliques: `k_end_groups` reads the K-end vertices
-off the closed-twin classes that `twin_classes` finds by hashing (both
-kinds memoized, for the certificates, the K-end groups and the solver's
-twin rules), and `maximal_cliques` serves only `clique_number`. The
-distance memo holds one BFS row per vertex, filled as rows are asked for:
-`distance_row` gives one of them, and `all_pairs_distances` fills them all.
-A call that needs the distances from a few landmarks builds only their
-rows; `within_two_hops` decides "diameter <= 2" with no BFS at all, by the
-Moore bound on a two-hop ball and then closed-neighbourhood bitmasks. `_bfs`
-is the one breadth-first search. `bipartition` and `Graph.check_connected`,
+What is derived from a graph lives on the graph: `memoized` keeps a
+function's value in the graph's own memo, keyed by the function and its
+arguments, so it is built once and freed with the graph. Only this module
+builds distances and cliques. The solver needs no cliques: `k_end_groups`
+reads the K-end vertices off the closed-twin classes that `twin_classes`
+finds by hashing (both memoized on the graph, for the certificates, the
+K-end groups and the solver's twin rules), and `maximal_cliques` serves
+only `clique_number`. `distance_row` builds one BFS row per vertex when it
+is first asked for, and `all_pairs_distances` reads them all. A call that
+needs the distances from a few landmarks builds only their rows;
+`within_two_hops` decides "diameter <= 2" with no BFS at all, by the Moore
+bound on a two-hop ball and then closed-neighbourhood bitmasks. `_bfs` is
+the one breadth-first search. `bipartition` and `Graph.check_connected`,
 which every parser calls, read the memoized row of vertex 0, so a parsed
 graph runs that BFS once. Only `Graph.is_connected`, which `all_connected`
 calls on every mask, runs its own BFS and memoizes nothing.
 """
 
 from collections import deque
-from functools import lru_cache
+from functools import wraps
+from inspect import signature
 from types import MappingProxyType
 
 from .errors import (
@@ -39,11 +41,12 @@ CHI_CAP = 16
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    The adjacency structure is a tuple of frozensets; duplicate edges are
-    collapsed and loops are rejected.
+    The adjacency structure is a tuple of frozensets and `edges` the sorted
+    tuple of edges (u, v), u < v; duplicate edges are collapsed and loops
+    are rejected. Immutable, except for the values memoized on the graph.
     """
 
-    __slots__ = ("n", "adj", "_edges", "_hash")
+    __slots__ = ("n", "adj", "edges", "_memo")
 
     def __init__(self, n, edges):
         if n < 1:
@@ -55,21 +58,13 @@ class Graph:
                 raise GraphValidationError(f"loop edge at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphValidationError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.add((u, v) if u < v else (v, u))
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in sets)
-        self._edges = tuple(sorted(seen))
-        self._hash = None  # the per-graph memos hash the graph on every lookup
-
-    @property
-    def edges(self):
-        """Sorted tuple of edges (u, v) with u < v."""
-        return self._edges
+        self.edges = tuple(sorted(seen))
+        self._memo = {}  # (function, args) -> value, filled by `memoized`
 
     def degree(self, u):
         return len(self.adj[u])
@@ -92,7 +87,7 @@ class Graph:
         index = {v: i for i, v in enumerate(keep)}
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges
             if u in index and v in index
         ]
         return Graph(len(keep), edges), tuple(keep)
@@ -101,12 +96,30 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def memoized(build):
+    """Keep `build(g, *args)` in g's memo, keyed by build and its arguments,
+    keywords and omitted defaults filled in by name so that every spelling of
+    a call shares one entry. A call that raises stores nothing; a value must
+    not reference g, or the graph would be part of a reference cycle."""
+    params = tuple(signature(build).parameters.values())[1:]
+
+    @wraps(build)
+    def cached(g, *args, **kwargs):
+        key = args  # build gets the call as made, so Python checks its arguments
+        if len(args) < len(params):
+            key += tuple([kwargs.get(p.name, p.default) for p in params[len(args) :]])
+        value = g._memo.get((build, key), cached)  # no value is this wrapper
+        if value is cached:
+            value = g._memo[build, key] = build(g, *args, **kwargs)
+        return value
+
+    return cached
 
 
 class DistMatrix:
@@ -229,33 +242,24 @@ def _bfs(g, s):
     return dist
 
 
-@lru_cache(maxsize=1)
-def _rows(g):
-    """The distance rows of the most recent graph, None until asked for."""
-    return [None] * g.n
-
-
+@memoized
 def distance_row(g, s):
-    """Tuple of d(s, v) for every v, memoized for the last graph.
+    """Tuple of d(s, v) for every v, memoized on the graph.
 
     A disconnected graph raises DisconnectedGraphError for 0 and the first
     vertex unreachable from 0, whichever row was asked for.
     """
-    rows = _rows(g)
-    row = rows[s]
-    if row is None:
-        dist = _bfs(g, s)
-        if -1 in dist:
-            if s:
-                distance_row(g, 0)  # raises for the first vertex 0 cannot reach
-            raise DisconnectedGraphError(0, dist.index(-1))
-        row = rows[s] = tuple(dist)
-    return row
+    dist = _bfs(g, s)
+    if -1 in dist:
+        if s:
+            distance_row(g, 0)  # raises for the first vertex 0 cannot reach
+        raise DisconnectedGraphError(0, dist.index(-1))
+    return tuple(dist)
 
 
-@lru_cache(maxsize=1)
+@memoized
 def all_pairs_distances(g):
-    """Every distance row, memoized for the last graph; errors if disconnected."""
+    """Every distance row, memoized on the graph; errors if disconnected."""
     rows = tuple(distance_row(g, s) for s in range(g.n))
     return DistMatrix(g.n, rows, max(map(max, rows)))
 
@@ -299,30 +303,29 @@ def bipartition(g):
 
 
 def maximal_cliques(g, cap=OMEGA_CAP):
-    """Tuple of all maximal cliques, memoized; the cap is checked before the memo."""
+    """Tuple of all maximal cliques, memoized on the graph after the cap check."""
     if g.n > cap:
         raise CapExceededError("clique enumeration", g.n, cap)
     return _maximal_cliques(g)
 
 
-@lru_cache(maxsize=1)
+@memoized
 def _maximal_cliques(g):
     """Bron-Kerbosch with pivoting."""
-    adj = g.adj
-    out = []
+    return tuple(_extensions(g.adj, [], frozenset(range(g.n)), frozenset()))
 
-    def expand(clique, candidates, excluded):
-        if not candidates and not excluded:
-            out.append(frozenset(clique))
-            return
-        pivot = max(candidates | excluded, key=lambda p: len(candidates & adj[p]))
-        for v in sorted(candidates - adj[pivot]):
-            expand(clique + [v], candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
 
-    expand([], frozenset(range(g.n)), frozenset())
-    return tuple(out)
+def _extensions(adj, clique, candidates, excluded):
+    """The maximal cliques that extend `clique` by vertices of `candidates`
+    and none of `excluded`; not a closure, so it leaves no reference cycle."""
+    if not candidates and not excluded:
+        yield frozenset(clique)
+        return
+    pivot = max(candidates | excluded, key=lambda p: len(candidates & adj[p]))
+    for v in sorted(candidates - adj[pivot]):
+        yield from _extensions(adj, clique + [v], candidates & adj[v], excluded & adj[v])
+        candidates = candidates - {v}
+        excluded = excluded | {v}
 
 
 def clique_number(g, cap=OMEGA_CAP):
@@ -336,29 +339,28 @@ def chromatic_number(g, cap=CHI_CAP):
     if bipartition(g) is not None:
         return 2 if g.edges else 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
-    adj = g.adj
-    for k in range(max(clique_number(g, cap), 3), g.n + 1):
-        colors = [-1] * g.n
+    colors = [-1] * g.n  # a branch that fails uncolours what it coloured
+    # n colours always suffice, and a graph that is not bipartite has n >= 3
+    first = max(clique_number(g, cap), 3)
+    return next(k for k in range(first, g.n + 1) if _colourable(g.adj, order, colors, k))
 
-        def feasible(pos, used):
-            if pos == len(order):
-                return True
-            u = order[pos]
-            forbidden = {colors[v] for v in adj[u] if colors[v] >= 0}
-            # trying at most one previously unused color kills symmetric branches
-            limit = min(used + 1, k)
-            for c in range(limit):
-                if c in forbidden:
-                    continue
-                colors[u] = c
-                if feasible(pos + 1, max(used, c + 1)):
-                    return True
-                colors[u] = -1
-            return False
 
-        if feasible(0, 0):
-            return k
-    return g.n
+def _colourable(adj, order, colors, k, pos=0, used=0):
+    """Whether order[pos:] can take colours below k, given `colors` so far."""
+    if pos == len(order):
+        return True
+    u = order[pos]
+    forbidden = {colors[v] for v in adj[u] if colors[v] >= 0}
+    # trying at most one previously unused color kills symmetric branches
+    limit = min(used + 1, k)
+    for c in range(limit):
+        if c in forbidden:
+            continue
+        colors[u] = c
+        if _colourable(adj, order, colors, k, pos + 1, max(used, c + 1)):
+            return True
+        colors[u] = -1
+    return False
 
 
 def two_core(g):
@@ -387,31 +389,22 @@ def two_core(g):
     return sub, mapping
 
 
+@memoized
 def twin_classes(g, closed=False):
     """{N(u): vertices}, or {N[u]: vertices} if `closed`, for each class of
     two or more vertices with that neighbourhood, found by hashing.
-    Memoized for the most recent graph, each kind when first asked for; the
-    mapping is read-only.
+    Memoized on the graph, each kind when first asked for; the mapping is
+    read-only.
     """
-    memo = _twins(g)
-    closed = bool(closed)
-    if closed not in memo:
-        classes = {}
-        for u, nbrs in enumerate(g.adj):
-            classes.setdefault(nbrs | {u} if closed else nbrs, []).append(u)
-        memo[closed] = MappingProxyType(
-            {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
-        )
-    return memo[closed]
+    classes = {}
+    for u, nbrs in enumerate(g.adj):
+        classes.setdefault(nbrs | {u} if closed else nbrs, []).append(u)
+    return MappingProxyType(
+        {nbrs: tuple(vs) for nbrs, vs in classes.items() if len(vs) >= 2}
+    )
 
 
-@lru_cache(maxsize=1)
-def _twins(g):
-    """The twin classes of the most recent graph, by kind, as asked for."""
-    return {}
-
-
-@lru_cache(maxsize=1)
+@memoized
 def k_end_groups(g):
     """Sorted (clique, ends) for each clique of order >= 3 with two or more
     K-end vertices, with no clique enumeration. u in K is a K-end vertex

@@ -206,7 +206,7 @@ from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
-from .graph import all_pairs_distances, bipartition, k_end_groups, twin_classes
+from .graph import all_pairs_distances, bipartition, k_end_groups, memoized, twin_classes
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
@@ -346,20 +346,21 @@ def _pair_incidence(n, L):
     return E
 
 
+@memoized
 def _columns(g, variant):
     """(cols, base, target, low, full) in the lane format of the module
     docstring: a subset's value is base plus (for vector kinds, OR) its
     landmarks' columns, and it resolves iff ((value ^ target) - low) & full
-    == full."""
+    == full. Memoized on the graph, so `resolving_sets` reuses the tuple."""
     dm = all_pairs_distances(g)
     n, D = g.n, dm.diameter
     if variant.kind == "vector":
         if variant.adjacent:
             # bit i of column w is set when w separates edge i (row[u] is d(u, w))
-            cols = [
+            cols = tuple(
                 sum(1 << i for i, (u, v) in enumerate(g.edges) if row[u] != row[v])
                 for row in dm.d
-            ]
+            )
             return cols, 0, 0, 0, (1 << len(g.edges)) - 1
         # pair (u, v), u < v, is bit off[u] + v - u - 1 (combinations order),
         # and u's block of column w holds the later vertices not at distance
@@ -371,7 +372,7 @@ def _columns(g, variant):
             for u, d in enumerate(row):
                 apart[d] ^= 1 << u
             cols.append(sum(apart[d] >> u + 1 << off[u] for u, d in enumerate(row)))
-        return cols, 0, 0, 0, (1 << off[-1]) - 1
+        return tuple(cols), 0, 0, 0, (1 << off[-1]) - 1
     # key_w(u) = f(d(u, w)) as row w: f is the place values of the radices
     # r_d, which bound the count of landmarks at distance d < D from a vertex
     delta = max(map(len, g.adj))
@@ -401,7 +402,7 @@ def _columns(g, variant):
     low = ((1 << L * lanes) - 1) // ((1 << L) - 1)
     high = low << (L - 1)
     base = B * low
-    return [sum(map(mul, row, E)) for row in keys], base, base | high, low, high
+    return tuple(sum(map(mul, row, E)) for row in keys), base, base | high, low, high
 
 
 def _final_lanes(cols, base, target, low, full):
@@ -659,5 +660,5 @@ def certify(g, W, variant):
 
 
 def solve_all(g, opts=None):
-    """dimension() for all six variants; graph.py memoizes the distances."""
+    """dimension() for all six variants; the distances are memoized on g."""
     return {v: dimension(g, v, opts=opts) for v in Variant}

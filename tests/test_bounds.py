@@ -69,8 +69,7 @@ def test_infinite_certificates_exclude_paths():
 
 
 def test_solve_all_derives_the_certificates_once(monkeypatch):
-    # the MD and LMD solves share one memoized call
-    infinite_certificates.cache_clear()
+    # the MD and LMD solves share one call memoized on the fresh graph
     calls = []
     two_hops = bounds.within_two_hops
 

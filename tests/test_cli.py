@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multires
 from multires.cli import main
 from multires.graph import parse_graph6
 
@@ -174,6 +179,30 @@ def test_enumerate(capsys):
     assert code == 0
     assert len(lines) == 38
     assert all(parse_graph6(line).n == 4 for line in lines)
+
+
+def test_a_closed_output_pipe_exits_0_quietly():
+    # enumerate 6 writes about 190 KB, more than one pipe buffer holds, so
+    # the command is still writing when the reader closes the pipe
+    src = Path(multires.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multires.cli", "enumerate", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert parse_graph6(proc.stdout.readline().decode()).n == 6
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_verify_corpus_above_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "observation_chain", "--n-max", "9")
+    assert code == 2
+    assert out == ""
+    assert "n=9 > cap=8" in err
 
 
 def test_cap_exit_code(capsys):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multires import generators
 from multires.errors import CapExceededError, GraphValidationError
 from multires.generators import (
     ALL_CONNECTED_CAP,
+    CORPUS_CAP,
     FamilySpec,
     all_connected,
     canonical_form,
@@ -190,6 +192,12 @@ def test_connected_class_counts(classes7):
 def test_connected_classes_rejects_empty_range():
     with pytest.raises(GraphValidationError):
         next(connected_classes(0))
+
+
+def test_connected_classes_are_capped_before_any_class_is_built(monkeypatch):
+    monkeypatch.setattr(generators, "Graph", None)  # building one would raise TypeError
+    with pytest.raises(CapExceededError, match="n=9 > cap=8"):
+        next(connected_classes(CORPUS_CAP + 1))
 
 
 def test_automorphisms_of_small_families():

@@ -23,7 +23,6 @@ from multires.generators import (
 )
 from multires.graph import (
     Graph,
-    _maximal_cliques,
     all_pairs_distances,
     bipartition,
     chromatic_number,
@@ -40,7 +39,7 @@ from multires.graph import (
     within_two_hops,
 )
 from multires.multisets import Variant, is_resolving
-from multires.solver import certify, solve_all
+from multires.solver import certify, dimension, solve_all
 
 from strategies import connected_graphs
 
@@ -256,49 +255,13 @@ def test_k_end_groups_match_the_definition_on_every_class_up_to_7(classes7):
     assert mismatched == []
 
 
-# --- the per-graph memo: distances and cliques are built once per graph -----
-
-
-def _clear_memos():
-    all_pairs_distances.cache_clear()
-    graph._rows.cache_clear()
-    _maximal_cliques.cache_clear()
-
-
-def test_solve_all_builds_distances_and_cliques_once():
-    _clear_memos()
-    g = gen_wheel(8)
-    solve_all(g)
-    assert all_pairs_distances.cache_info().misses == 1
-    assert _maximal_cliques.cache_info().misses == 0  # the solver needs none
-    lower_bounds(g)
-    assert _maximal_cliques.cache_info().misses == 1
-
-
-def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
-    # the certificates and the LMD and LDIM_MS K-end rules share one memoized
-    # k_end_groups call, and the twin rules read the memoized classes
-    infinite_certificates.cache_clear()
-    k_end_groups.cache_clear()
-    graph._twins.cache_clear()
-    calls = []
-    twins = graph.twin_classes
-
-    def counting(g, closed=False):
-        calls.append(closed)
-        return twins(g, closed)
-
-    monkeypatch.setattr(graph, "twin_classes", counting)
-    solve_all(gen_wheel(8))
-    assert calls.count(True) == 1
-    assert graph._twins.cache_info().misses == 1
-    assert set(graph._twins(gen_wheel(8))) == {False, True}  # one memo, both kinds
+# --- the per-graph memo: what is derived from a graph is built once --------
+# A fresh graph has a fresh memo, so the counters below count builds.
 
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """Clear the memos; the returned list collects the source of every BFS."""
-    _clear_memos()
+    """The returned list collects the source of every BFS."""
     sources = []
     bfs = graph._bfs
 
@@ -310,13 +273,57 @@ def bfs_sources(monkeypatch):
     return sources
 
 
+def test_solve_all_builds_distances_and_cliques_once(bfs_sources, monkeypatch):
+    g = gen_wheel(8)
+    cliques = graph._maximal_cliques
+
+    def forbidden(g):
+        raise AssertionError("the solver enumerated cliques")
+
+    monkeypatch.setattr(graph, "_maximal_cliques", forbidden)
+    solve_all(g)
+    assert sorted(bfs_sources) == list(range(g.n))
+    monkeypatch.setattr(graph, "_maximal_cliques", cliques)
+    lower_bounds(g)
+    lower_bounds(g)
+    assert maximal_cliques(g) is maximal_cliques(g)  # one tuple, built once
+    assert sorted(bfs_sources) == list(range(g.n))
+
+
+def test_alternating_solves_of_two_graphs_run_each_bfs_once(bfs_sources):
+    # each graph keeps its own rows, so a solve of one evicts nothing of the other
+    a, b = gen_wheel(8), gen_cycle(7)
+    for variant in (Variant.DIM, Variant.DIM_MS):
+        for g in (a, b):
+            dimension(g, variant)
+    assert sorted(bfs_sources) == sorted([*range(a.n), *range(b.n)])
+
+
+def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
+    # the certificates and the LMD and LDIM_MS K-end rules share one memoized
+    # k_end_groups call, and the twin rules read the memoized classes
+    calls = []
+    twins = graph.twin_classes
+
+    def counting(g, closed=False):
+        calls.append(closed)
+        return twins(g, closed)
+
+    monkeypatch.setattr(graph, "twin_classes", counting)
+    g = gen_wheel(8)
+    solve_all(g)
+    assert calls.count(True) == 1
+    # one memo entry per kind, shared by every spelling of the call
+    assert twin_classes(g, closed=True) is twin_classes(g, True)
+    assert twin_classes(g) is twin_classes(g, closed=False) is twin_classes(g, False)
+
+
 def test_lower_bounds_then_certify_build_no_matrix(bfs_sources):
     g = gen_wheel(30)
     lower_bounds(g)
     assert bfs_sources == [0]  # connectivity and bipartition share row 0
     for variant in Variant:
         certify(g, (0, 1, 2), variant)
-    assert all_pairs_distances.cache_info().misses == 0
     assert sorted(bfs_sources) == [0, 1, 2]
 
 
@@ -337,9 +344,10 @@ def test_a_parsed_graph_runs_each_bfs_once(bfs_sources):
 
 
 def test_clique_cap_is_checked_on_a_memo_hit():
-    maximal_cliques(gen_complete(5))
+    g = gen_complete(5)
+    maximal_cliques(g)
     with pytest.raises(CapExceededError):
-        maximal_cliques(gen_complete(5), cap=4)
+        maximal_cliques(g, cap=4)
 
 
 def test_disconnected_graph_raises_every_time():
@@ -376,7 +384,6 @@ DISCONNECTED = Graph(5, [(0, 1), (2, 3), (3, 4)])
     ],
 )
 def test_disconnected_graph_names_the_first_vertex_unreachable_from_0(call):
-    _clear_memos()
     message = "no path between vertices 0 and 2"
     with pytest.raises(DisconnectedGraphError, match=message):
         call(DISCONNECTED)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multires import multisets, solver
-from multires.bounds import infinite_certificates
+from multires import multisets, solver, verify
+from multires.bounds import infinite_certificates, lower_bounds
 from multires.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -47,6 +47,7 @@ from multires.solver import (
     resolving_sets,
     solve_all,
 )
+from multires.verify import corpus_scan, run_theorem
 
 from strategies import connected_graphs, plain_count, random_connected_graph
 
@@ -196,9 +197,11 @@ def test_parallel_shards_start_no_process(monkeypatch):
     assert (r.value, r.witness) == (2, (0, 4))
 
 
-def test_a_solve_leaves_no_garbage():
+def test_a_solve_leaves_no_garbage(monkeypatch):
     # search and walk call themselves through their closure cells, and each
-    # search deletes its own, so no reference cycle outlives a solve
+    # search deletes its own, so no reference cycle outlives a solve; a
+    # value memoized on a graph that held the graph would be one too
+    monkeypatch.setattr(verify, "_CORPUS_CACHE", {})  # examine the classes anew
     gc.collect()
     gc.disable()
     try:
@@ -206,6 +209,12 @@ def test_a_solve_leaves_no_garbage():
         dimension(gen_wheel(15), Variant.LMD)  # the membership walk
         with pytest.raises(BudgetExhaustedError):
             dimension(gen_wheel(15), Variant.LMD, SolverOptions(subset_budget=10))
+        g = gen_wheel(8)
+        resolving_sets(g, Variant.LMD, dimension(g, Variant.LMD).value)
+        lower_bounds(g)
+        certify(g, (0, 4), Variant.LMD)
+        del g
+        corpus_scan(4)
     finally:
         gc.enable()
     assert gc.collect() == 0
@@ -471,6 +480,26 @@ def test_resolving_sets_match_the_definitions():
     # like is_resolving, it rejects the empty set
     with pytest.raises(GraphValidationError):
         resolving_sets(gen_cycle(5), Variant.LMD, 0)
+
+
+def test_resolving_sets_reuse_the_columns_of_dimension(monkeypatch):
+    # _columns is memoized on the graph, and each build reads the distance
+    # matrix once: one build per (graph, variant)
+    builds = []
+    matrix = solver.all_pairs_distances
+
+    def counting(g):
+        builds.append(g.n)
+        return matrix(g)
+
+    monkeypatch.setattr(solver, "all_pairs_distances", counting)
+    g = gen_wheel(8)
+    r = dimension(g, Variant.LMD)
+    assert r.witness in resolving_sets(g, Variant.LMD, r.value)
+    assert builds == [9]
+    builds.clear()
+    run_theorem("wheel_lemma_1or3")
+    assert len(builds) == 18  # wheel:4-12, LMD and LDIM_MS
 
 
 LANE_BITS = [

@@ -1,7 +1,7 @@
 import pytest
 
 from multires import verify
-from multires.errors import GraphValidationError, NoClosedFormError
+from multires.errors import CapExceededError, GraphValidationError, NoClosedFormError
 from multires.generators import gen, parse_family_spec
 from multires.multisets import Variant
 from multires.solver import INFINITE, certify, naive_all_dimensions
@@ -177,6 +177,13 @@ def test_corpus_scan_small():
     assert failures == []
     with pytest.raises(GraphValidationError):
         corpus_scan(0)
+
+
+def test_corpus_scan_is_capped_at_eight(monkeypatch):
+    # 261 080 classes on 9 vertices would take tens of minutes
+    monkeypatch.setattr(verify, "_examine_graph", None)  # no class is examined
+    with pytest.raises(CapExceededError, match="n=9 > cap=8"):
+        corpus_scan(9)
 
 
 def test_corpus_scan_examines_only_the_new_vertex_count(monkeypatch, classes7):
