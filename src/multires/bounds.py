@@ -177,11 +177,11 @@ def infinite_certificates(g, cap=OMEGA_CAP):
     but the LMD one is derived only for n <= cap; above it, `lower_bounds`
     lists it as skipped.
 
-    Memoized on the graph for each cap (`graph.memoized`), so the MD and
-    LMD solves of one graph derive them once. A disconnected graph raises
-    on every call, since a call that raises stores nothing. The
-    connectivity check is the memoized BFS row of vertex 0, which
-    `bipartition` and the distance matrix share.
+    Memoized on the graph for each cap (`graph.memoized`), which every
+    caller in the package passes, so the MD and LMD solves of one graph
+    derive them once. A disconnected graph raises on every call, since a
+    call that raises stores nothing. The connectivity check is the memoized
+    BFS row of vertex 0, which `bipartition` and the distance matrix share.
     """
     distance_row(g, 0)
     certs = []
@@ -204,7 +204,7 @@ def infinite_certificates(g, cap=OMEGA_CAP):
                 f"diameter {diam} <= 2 and graph is not a path",
             )
         )
-    for triple in twin_classes(g).values():
+    for triple in twin_classes(g, False).values():
         if len(triple) >= 3:
             certs.append(
                 InfiniteCertificate(
@@ -236,7 +236,7 @@ def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
     partial rather than silently heuristic. The distance matrix is built
     only for the chromatic bound, so never above `chi_cap`.
     """
-    certificates = infinite_certificates(g, cap=omega_cap)
+    certificates = infinite_certificates(g, omega_cap)
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None

@@ -14,7 +14,6 @@ from .errors import (
     BudgetExhaustedError,
     CapExceededError,
     GraphParseError,
-    GraphValidationError,
     MultiresError,
 )
 from .generators import all_connected, gen, parse_family_spec
@@ -137,13 +136,7 @@ def cmd_verify(args):
     unknown = [t for t in ids if t not in THEOREMS]
     if unknown:
         raise MultiresError(f"unknown theorem ids {unknown}; known: {sorted(THEOREMS)}")
-    params = {}
-    if args.n_max is not None:
-        # checked here, not in the corpus, because most theorems use no corpus
-        if args.n_max < 1:
-            raise GraphValidationError(f"verify needs n_max >= 1, got {args.n_max}")
-        params["n_max"] = args.n_max
-    checks = [run_theorem(tid, **params) for tid in ids]
+    checks = [run_theorem(tid, args.n_max) for tid in ids]
     payload = [c.to_json_dict() for c in checks]
     lines = []
     for c in checks:
@@ -234,8 +227,8 @@ def build_parser():
         help="theorem id (repeatable; default: all)",
     )
     p.add_argument(
-        "--n-max", type=int, default=None,
-        help="corpus size for exhaustive checks",
+        "--n-max", type=int, default=5,
+        help="corpus size for exhaustive checks (default: 5)",
     )
     p.set_defaults(func=cmd_verify)
 

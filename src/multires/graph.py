@@ -5,7 +5,7 @@ every dimension computation, connected.
 
 What is derived from a graph lives on the graph: `memoized` keeps a
 function's value in the graph's own memo, keyed by the function and its
-arguments, so it is built once and freed with the graph. Only this module
+positional arguments: built once, freed with the graph. Only this module
 builds distances and cliques. The solver needs no cliques: `k_end_groups`
 reads the K-end vertices off the closed-twin classes that `twin_classes`
 finds by hashing (both memoized on the graph, for the certificates, the
@@ -23,7 +23,6 @@ calls on every mask, runs its own BFS and memoizes nothing.
 
 from collections import deque
 from functools import wraps
-from inspect import signature
 from types import MappingProxyType
 
 from .errors import (
@@ -103,20 +102,16 @@ class Graph:
 
 
 def memoized(build):
-    """Keep `build(g, *args)` in g's memo, keyed by build and its arguments,
-    keywords and omitted defaults filled in by name so that every spelling of
-    a call shares one entry. A call that raises stores nothing; a value must
-    not reference g, or the graph would be part of a reference cycle."""
-    params = tuple(signature(build).parameters.values())[1:]
+    """Keep `build(g, *args)` in g's memo, keyed by build and the positional
+    arguments as given: a keyword raises TypeError, and a call that omits a
+    default is an entry of its own. A call that raises stores nothing; a value
+    must not reference g, or the graph would be part of a reference cycle."""
 
     @wraps(build)
-    def cached(g, *args, **kwargs):
-        key = args  # build gets the call as made, so Python checks its arguments
-        if len(args) < len(params):
-            key += tuple([kwargs.get(p.name, p.default) for p in params[len(args) :]])
-        value = g._memo.get((build, key), cached)  # no value is this wrapper
+    def cached(g, *args):
+        value = g._memo.get((build, args), cached)  # no value is this wrapper
         if value is cached:
-            value = g._memo[build, key] = build(g, *args, **kwargs)
+            value = g._memo[build, args] = build(g, *args)
         return value
 
     return cached
@@ -390,7 +385,7 @@ def two_core(g):
 
 
 @memoized
-def twin_classes(g, closed=False):
+def twin_classes(g, closed):
     """{N(u): vertices}, or {N[u]: vertices} if `closed`, for each class of
     two or more vertices with that neighbourhood, found by hashing.
     Memoized on the graph, each kind when first asked for; the mapping is
@@ -413,7 +408,7 @@ def k_end_groups(g):
     return tuple(
         sorted(
             (tuple(sorted(clique)), ends)
-            for clique, ends in twin_classes(g, closed=True).items()
+            for clique, ends in twin_classes(g, True).items()
             if len(clique) >= 3 and all(clique - g.adj[w] == {w} for w in clique)
         )
     )

@@ -558,7 +558,7 @@ def dimension(g, variant, opts=None):
         certificate = next(
             (
                 f"{cert.kind}: {cert.description}"
-                for cert in infinite_certificates(g, cap=opts.cap)
+                for cert in infinite_certificates(g, opts.cap)
                 if cert.variant is variant
             ),
             None,

@@ -283,20 +283,16 @@ def _runs_ok(n, subset):
 
 # --- theorem checks ---------------------------------------------------------
 #
-# A check fills the TheoremCheck that run_theorem hands it. Its keyword
-# parameters select the instances, and it ignores the ones it does not take,
-# so run_all can pass one parameter set to every theorem.
+# A check fills the TheoremCheck that run_theorem hands it, from a fixed
+# instance list: the closed-form checks from the FamilySpec lists below, the
+# others from the instances written into them.
 
 
 def closed_forms(specs, variants):
-    """Build a check comparing closed_form with dimension on each spec and variant.
+    """Build a check comparing closed_form with dimension on each spec and variant."""
 
-    `specs` is a spec iterator: called with the check's keyword parameters,
-    it yields the FamilySpecs to compare.
-    """
-
-    def check_closed_forms(check, **params):
-        for spec in specs(**params):
+    def check_closed_forms(check):
+        for spec in specs:
             g = gen(spec)
             for variant in variants:
                 check.add(
@@ -309,44 +305,38 @@ def closed_forms(specs, variants):
     return check_closed_forms
 
 
-def _sizes(tag, lo, hi):
-    """Spec iterator over tag:n for n_lo <= n <= n_hi (default lo..hi)."""
-
-    def specs(n_lo=lo, n_hi=hi, **_):
-        return (FamilySpec(tag, (n,)) for n in range(n_lo, n_hi + 1))
-
-    return specs
-
-
-def _order_vectors(tag, lo):
-    """Spec iterator over sorted clique-order vectors with entries >= lo."""
-
-    def specs(max_order=4, sizes=(2, 3), **_):
-        for m in sizes:
-            for orders in combinations_with_replacement(range(lo, max_order + 1), m):
-                yield FamilySpec(tag, orders)
-
-    return specs
-
-
-UNICYCLIC_INSTANCES = (
-    (3, (0,)),
-    (3, (0, 1, 3)),
-    (4, (1,)),
-    (4, (0, 2)),
-    (5, (2, 0)),
-    (5, (0, 5, 6)),
-    (6, (1,)),
-    (6, (0, 3, 6)),
-    (7, (4,)),
-)
+CYCLES = [FamilySpec("cycle", (n,)) for n in range(3, 13)]
+WHEELS = [FamilySpec("wheel", (n,)) for n in range(3, 13)]
+COMPLETE = [FamilySpec("complete", (n,)) for n in range(2, 9)]
+# the sorted clique-order vectors of two and three cliques of order <= 4
+AMALS = [
+    FamilySpec("amal", orders)
+    for m in (2, 3)
+    for orders in combinations_with_replacement(range(1, 5), m)
+]
+EDGE_AMALS = [
+    FamilySpec("edge_amal", orders)
+    for m in (2, 3)
+    for orders in combinations_with_replacement(range(2, 5), m)
+]
+# numbers (c, *parents): the cycle 0..c-1, and vertex c + t joined to parents[t]
+UNICYCLIC = [
+    FamilySpec("unicyclic", numbers)
+    for numbers in (
+        (3, 0),
+        (3, 0, 1, 3),
+        (4, 1),
+        (4, 0, 2),
+        (5, 2, 0),
+        (5, 0, 5, 6),
+        (6, 1),
+        (6, 0, 3, 6),
+        (7, 4),
+    )
+]
 
 
-def _unicyclic(instances=UNICYCLIC_INSTANCES, **_):
-    return (FamilySpec("unicyclic", (c,) + tuple(parents)) for c, parents in instances)
-
-
-def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), **_):
+def check_wheel_lemma_1or3(check):
     """Necessary-condition check on every minimum wheel resolving set.
 
     This check applies the structure condition as a hard necessary one; for
@@ -354,12 +344,9 @@ def check_wheel_lemma_1or3(check, n_lo=4, n_hi=12, variants=("lmd", "ldim_ms"), 
     P_2 inside W is invisible to the outer comparison, so such bases do
     resolve), leaving interpretation to the caller.
     """
-    wanted = {Variant.from_name(v) for v in variants}
-    for n in range(n_lo, n_hi + 1):
+    for n in range(4, 13):
         g = gen(FamilySpec("wheel", (n,)))
         for variant in LOCAL_VARIANTS:
-            if variant not in wanted:
-                continue
             result = dimension(g, variant)
             if result.is_infinite:
                 continue
@@ -395,14 +382,14 @@ CORONA_MIXED_INSTANCES = (
 )
 
 
-def check_corona(check, path_orders=(3, 4, 5), **_):
+def check_corona(check):
     """Corona lower bounds everywhere; sharpness at odd path orders.
 
     Sharpness does not extend to every path of order >= 3: exhaustive
     search gives lmd(P_4 . K_2) = ldim_ms(P_4 . K_2) = 5, so equality is
     asserted for odd orders only and the even orders get the inequality.
     """
-    for k in path_orders:
+    for k in (3, 4, 5):
         spec = FamilySpec(
             "corona", tuple([2] * k), (FamilySpec("path", (k,)),)
         )
@@ -436,8 +423,8 @@ def check_corona(check, path_orders=(3, 4, 5), **_):
         )
 
 
-def check_clique_gadget(check, sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
-    for n in sizes:
+def check_clique_gadget(check):
+    for n in (2, 3, 4, 5, 6, 8):
         gadget = gen_clique_gadget(n)
         g = gadget.graph
         target = max(1, (n - 1).bit_length())
@@ -451,7 +438,7 @@ def check_clique_gadget(check, sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
             check.add(
                 f"gadget:{n}", "lower_bound", target, report.lower[Variant.LMD].value
             )
-        if g.n <= solve_up_to:
+        if g.n <= 12:
             for variant in (Variant.LMD, Variant.LDIM_MS):
                 check.add(
                     f"gadget:{n}",
@@ -468,8 +455,8 @@ def check_clique_gadget(check, sizes=(2, 3, 4, 5, 6, 8), solve_up_to=12, **_):
             )
 
 
-def check_chromatic_bound(check, chi_hi=50, **_):
-    for chi in range(1, chi_hi + 1):
+def check_chromatic_bound(check):
+    for chi in range(1, 51):
         check.add(f"(d=2,chi={chi})", "g", _ceil_div(chi, 2), g_bound(2, chi))
         # ceil(sqrt(chi + 2)) - 1, via isqrt to stay in exact integers
         check.add(
@@ -477,7 +464,7 @@ def check_chromatic_bound(check, chi_hi=50, **_):
         )
 
 
-def check_maxsubgraph_sharpness(check, **_):
+def check_maxsubgraph_sharpness(check):
     """Leafless-core upper bound on pendant instances, with equality cases.
 
     One pendant vertex per core vertex; equality is asserted where it
@@ -530,7 +517,7 @@ def _examine_graph(g):
     md_inf = val[Variant.MD] == INFINITE
     if (all_pairs_distances(g).diameter <= 2 and not is_path_graph(g)) and not md_inf:
         failures.append(("infmd_diam", desc))
-    if not md_inf and any(len(vs) >= 3 for vs in twin_classes(g).values()):
+    if not md_inf and any(len(vs) >= 3 for vs in twin_classes(g, False).values()):
         failures.append(("infmd_triple", desc))
     report = lower_bounds(g)
     for cert in report.certificates:
@@ -569,7 +556,7 @@ def _examine_graph(g):
 _CORPUS_CACHE = {}  # n -> (labeled count, failures) of the classes on n vertices
 
 
-def corpus_scan(n_max=6):
+def corpus_scan(n_max):
     """Check every corpus clause on all connected graphs with n <= n_max.
 
     Every clause depends only on the isomorphism class, so each class is
@@ -593,57 +580,65 @@ def corpus_scan(n_max=6):
     return count, [f for n in sizes for f in _CORPUS_CACHE[n][1]]
 
 
-def corpus_clauses(*clauses):
-    """Build a check that no corpus graph fails any of the given clauses."""
-
-    def check_corpus(check, n_max=5, **_):
-        count, failures = corpus_scan(n_max)
-        relevant = [f for f in failures if f[0] in clauses]
-        check.add_flag(
-            f"all connected graphs n<={n_max} ({count} graphs)",
-            "+".join(clauses),
-            not relevant,
-            note="; ".join(f"{c}: {d}" for c, d in relevant[:5]),
-        )
-
-    return check_corpus
-
-
 LOCAL_VARIANTS = (Variant.LMD, Variant.LDIM_MS)
 
-# theorem id -> check; run_all runs them in this order. A closed form of a
-# new family is one closed_forms row here plus its spec iterator.
-THEOREMS = {
-    "cycles": closed_forms(_sizes("cycle", 3, 12), LOCAL_VARIANTS),
-    "wheels": closed_forms(_sizes("wheel", 3, 12), LOCAL_VARIANTS),
-    "wheel_ldim": closed_forms(_sizes("wheel", 3, 12), (Variant.LDIM,)),
+# theorem id -> check; run_all runs these in this order, then the corpus
+# theorems. A closed form of a new family is one closed_forms row here plus
+# its spec list.
+CHECKS = {
+    "cycles": closed_forms(CYCLES, LOCAL_VARIANTS),
+    "wheels": closed_forms(WHEELS, LOCAL_VARIANTS),
+    "wheel_ldim": closed_forms(WHEELS, (Variant.LDIM,)),
     "wheel_lemma_1or3": check_wheel_lemma_1or3,
-    "complete": closed_forms(_sizes("complete", 2, 8), LOCAL_VARIANTS),
-    "amal": closed_forms(_order_vectors("amal", 1), LOCAL_VARIANTS),
-    "edge_amal": closed_forms(_order_vectors("edge_amal", 2), LOCAL_VARIANTS),
+    "complete": closed_forms(COMPLETE, LOCAL_VARIANTS),
+    "amal": closed_forms(AMALS, LOCAL_VARIANTS),
+    "edge_amal": closed_forms(EDGE_AMALS, LOCAL_VARIANTS),
     "corona": check_corona,
-    "unicyclic": closed_forms(_unicyclic, LOCAL_VARIANTS),
+    "unicyclic": closed_forms(UNICYCLIC, LOCAL_VARIANTS),
     "clique_gadget": check_clique_gadget,
     "chromatic_bound": check_chromatic_bound,
     "maxsubgraph_sharpness": check_maxsubgraph_sharpness,
-    "observation_chain": corpus_clauses("observation_chain"),
-    "bipartite_iff_1": corpus_clauses("bipartite_iff_1"),
-    "infmd": corpus_clauses("infmd_diam", "infmd_triple", "certificate_confirmed"),
-    "dms_extremal": corpus_clauses("dms_extremal"),
-    "lower_bounds": corpus_clauses(
-        "lower_bound_le_exact", "counting_bound_le_exact", "upper_bound_ge_exact"
-    ),
-    "maxsubgraph": corpus_clauses("maxsubgraph_le"),
 }
 
+# corpus theorem id -> the corpus clauses that no graph with n <= n_max fails
+CORPUS_CLAUSES = {
+    "observation_chain": ("observation_chain",),
+    "bipartite_iff_1": ("bipartite_iff_1",),
+    "infmd": ("infmd_diam", "infmd_triple", "certificate_confirmed"),
+    "dms_extremal": ("dms_extremal",),
+    "lower_bounds": (
+        "lower_bound_le_exact", "counting_bound_le_exact", "upper_bound_ge_exact"
+    ),
+    "maxsubgraph": ("maxsubgraph_le",),
+}
 
-def run_theorem(theorem_id, **params):
+THEOREMS = (*CHECKS, *CORPUS_CLAUSES)
+
+
+def run_theorem(theorem_id, n_max=5, jobs=1):
+    """Run one theorem's check; n_max is the corpus size of the corpus theorems.
+
+    `jobs` is accepted and ignored: the benchmark's verify workload passes it.
+    """
     if theorem_id not in THEOREMS:
         raise NoClosedFormError(f"unknown theorem id {theorem_id!r}")
+    if n_max < 1:
+        raise GraphValidationError(f"verify needs n_max >= 1, got {n_max}")
     check = TheoremCheck(theorem_id)
-    THEOREMS[theorem_id](check, **params)
+    if theorem_id in CHECKS:
+        CHECKS[theorem_id](check)
+        return check
+    clauses = CORPUS_CLAUSES[theorem_id]
+    count, failures = corpus_scan(n_max)
+    relevant = [f for f in failures if f[0] in clauses]
+    check.add_flag(
+        f"all connected graphs n<={n_max} ({count} graphs)",
+        "+".join(clauses),
+        not relevant,
+        note="; ".join(f"{c}: {d}" for c, d in relevant[:5]),
+    )
     return check
 
 
-def run_all(**params):
-    return [run_theorem(tid, **params) for tid in THEOREMS]
+def run_all(n_max=5):
+    return [run_theorem(tid, n_max) for tid in THEOREMS]

@@ -46,8 +46,8 @@ def test_criterion_1_cycles():
 
 
 def test_criterion_2_wheels():
-    check_dims = run_theorem("wheels", n_lo=3, n_hi=12)
-    check_ldim = run_theorem("wheel_ldim", n_lo=3, n_hi=12)
+    check_dims = run_theorem("wheels")
+    check_ldim = run_theorem("wheel_ldim")
     spot = (
         solve("wheel:4", Variant.LMD) == 3
         and solve("wheel:8", Variant.LMD) == 2
@@ -75,13 +75,13 @@ def test_criterion_3_complete_graphs():
 
 
 def test_criterion_4_amalgamations():
-    amal = run_theorem("amal", max_order=4, sizes=(2, 3))
-    edge = run_theorem("edge_amal", max_order=4, sizes=(2, 3))
+    amal = run_theorem("amal")
+    edge = run_theorem("edge_amal")
     report(4, "amalgamations", amal.passed and edge.passed)
 
 
 def test_criterion_5_corona():
-    check = run_theorem("corona", path_orders=(3, 4, 5))
+    check = run_theorem("corona")
     # sharpness fails at path order four: the true value is five
     p4 = gen(parse_family_spec("corona:path:4/2,2,2,2"))
     refutation = (
@@ -115,7 +115,7 @@ def test_criterion_7_exhaustive_corpus(corpus6):
 
 
 def test_criterion_8_bound_algebra():
-    check = run_theorem("chromatic_bound", chi_hi=50)
+    check = run_theorem("chromatic_bound")
     report(8, "bound algebra", check.passed)
 
 
@@ -132,13 +132,10 @@ def test_criterion_9_solver_self_consistency(oracle_sweep):
 
 
 def test_criterion_10_wheel_structure_lemmas():
-    lmd_side = run_theorem("wheel_lemma_1or3", n_lo=4, n_hi=12, variants=("lmd",))
-    outer_even = run_theorem(
-        "wheel_lemma_1or3", n_lo=4, n_hi=12, variants=("ldim_ms",)
-    )
-    even_ok = all(
-        c.ok for c in outer_even.instances if int(c.instance.split()[0][6:]) % 2 == 0
-    )
+    lemma = run_theorem("wheel_lemma_1or3")
+    lmd_side = [c for c in lemma.instances if c.quantity == "lmd_path_structure"]
+    outer = [c for c in lemma.instances if c.quantity == "ldim_ms_path_structure"]
+    even_ok = all(c.ok for c in outer if int(c.instance.split()[0][6:]) % 2 == 0)
     # the outer condition fails on odd wheels: a rim pair inside W
     # is never compared by the outer variant, yet such minimum bases resolve
     w5 = gen(parse_family_spec("wheel:5"))
@@ -146,12 +143,11 @@ def test_criterion_10_wheel_structure_lemmas():
         wheel_path_structure(5, (0, 1), outer=True)
     )
     odd_refuted = any(
-        not c.ok
-        for c in outer_even.instances
-        if int(c.instance.split()[0][6:]) % 2 == 1
+        not c.ok for c in outer if int(c.instance.split()[0][6:]) % 2 == 1
     )
     report(
         10,
         "wheel structure lemmas",
-        lmd_side.passed and even_ok and refutation and odd_refuted,
+        lmd_side and all(c.ok for c in lmd_side) and even_ok and refutation
+        and odd_refuted,
     )

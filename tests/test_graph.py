@@ -207,14 +207,14 @@ K4_PENDANT = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
 
 
 def test_twin_classes():
-    assert twin_classes(gen_star(3)) == {frozenset({0}): (1, 2, 3)}
-    assert twin_classes(gen_cycle(5)) == {}
-    assert twin_classes(gen_star(3), closed=True) == {}
-    assert twin_classes(K4_PENDANT, closed=True) == {frozenset(range(4)): (0, 1, 2)}
+    assert twin_classes(gen_star(3), False) == {frozenset({0}): (1, 2, 3)}
+    assert twin_classes(gen_cycle(5), False) == {}
+    assert twin_classes(gen_star(3), True) == {}
+    assert twin_classes(K4_PENDANT, True) == {frozenset(range(4)): (0, 1, 2)}
     assert k_end_groups(K4_PENDANT) == (((0, 1, 2, 3), (0, 1, 2)),)
     # memoized, so callers share one mapping and cannot change it
     with pytest.raises(TypeError):
-        twin_classes(gen_star(3))[frozenset()] = ()
+        twin_classes(gen_star(3), False)[frozenset()] = ()
 
 
 def _k_end_reference(g):
@@ -305,7 +305,7 @@ def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
     calls = []
     twins = graph.twin_classes
 
-    def counting(g, closed=False):
+    def counting(g, closed):
         calls.append(closed)
         return twins(g, closed)
 
@@ -313,9 +313,12 @@ def test_solve_all_builds_the_closed_twin_classes_once(monkeypatch):
     g = gen_wheel(8)
     solve_all(g)
     assert calls.count(True) == 1
-    # one memo entry per kind, shared by every spelling of the call
-    assert twin_classes(g, closed=True) is twin_classes(g, True)
-    assert twin_classes(g) is twin_classes(g, closed=False) is twin_classes(g, False)
+    # one memo entry per kind, shared by positional calls; the memo takes
+    # no keywords
+    assert twin_classes(g, True) is twin_classes(g, True)
+    assert twin_classes(g, False) is twin_classes(g, False)
+    with pytest.raises(TypeError):
+        twin_classes(g, closed=True)
 
 
 def test_lower_bounds_then_certify_build_no_matrix(bfs_sources):

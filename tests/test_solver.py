@@ -852,7 +852,7 @@ def test_md_with_a_closed_twin_triple_is_infinite_without_a_search(
     for g, _ in classes7:
         if any(c.variant is Variant.MD for c in infinite_certificates(g)):
             continue
-        if all(len(vs) < 3 for vs in twin_classes(g, closed=True).values()):
+        if all(len(vs) < 3 for vs in twin_classes(g, True).values()):
             continue
         got = dimension(g, Variant.MD)
         want = (INFINITE, 2**g.n - 1, f"exhausted all 2^{g.n} - 1 subsets")

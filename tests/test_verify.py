@@ -1,10 +1,12 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from multires import verify
 from multires.errors import CapExceededError, GraphValidationError, NoClosedFormError
-from multires.generators import gen, parse_family_spec
+from multires.generators import FamilySpec, gen, parse_family_spec
 from multires.multisets import Variant
-from multires.solver import INFINITE, certify, naive_all_dimensions
+from multires.solver import INFINITE, certify, dimension, naive_all_dimensions
 from multires.verify import (
     THEOREMS,
     closed_form,
@@ -127,16 +129,23 @@ def test_run_theorem_families_pass():
         assert check.passed, check.to_json_dict()
 
 
-def test_run_theorem_edge_amal_beyond_the_default_orders():
+def test_edge_amal_closed_forms_beyond_the_fixed_orders():
     # cliques of order up to 7 (up to 6 in four cliques) reach the lone
-    # clique of order >= 5 that the default max_order=4 never builds
-    for params in ({"max_order": 7, "sizes": (2, 3)}, {"max_order": 6, "sizes": (4,)}):
-        check = run_theorem("edge_amal", **params)
-        assert check.passed, check.to_json_dict()
+    # clique of order >= 5 that the theorem's orders (at most 4) never build
+    vectors = [
+        *(v for m in (2, 3) for v in combinations_with_replacement(range(2, 8), m)),
+        *combinations_with_replacement(range(2, 7), 4),
+    ]
+    for orders in vectors:
+        spec = FamilySpec("edge_amal", orders)
+        g = gen(spec)
+        for variant in (Variant.LMD, Variant.LDIM_MS):
+            want = dimension(g, variant).value
+            assert closed_form(spec, variant) == want, (spec, variant)
 
 
 def test_run_theorem_wheels_small_range():
-    check = run_theorem("wheels", n_lo=3, n_hi=8)
+    check = run_theorem("wheels")
     assert check.passed, check.to_json_dict()
 
 
@@ -145,17 +154,30 @@ def test_run_theorem_rejects_unknown_id():
         run_theorem("perpetual_motion")
 
 
+def test_run_theorem_rejects_an_unknown_parameter():
+    # the instance lists are fixed: a misspelt knob is an error, not ignored
+    with pytest.raises(TypeError):
+        run_theorem("cycles", nhi=4)
+
+
+def test_run_theorem_rejects_an_empty_corpus_for_every_theorem():
+    # cycles uses no corpus, yet n_max=0 fails loudly for it too
+    with pytest.raises(GraphValidationError, match="n_max >= 1, got 0"):
+        run_theorem("cycles", n_max=0)
+
+
 def test_theorem_check_serialization():
-    check = run_theorem("cycles", n_lo=3, n_hi=4)
+    check = run_theorem("cycles")
     d = check.to_json_dict()
     assert d["passed"] is True
-    assert d["instances"] == 4
+    assert d["instances"] == 20
     assert d["failures"] == []
 
 
 def test_wheel_lemma_holds_for_lmd_bases():
-    check = run_theorem("wheel_lemma_1or3", n_lo=4, n_hi=10, variants=("lmd",))
-    assert check.passed, check.to_json_dict()
+    check = run_theorem("wheel_lemma_1or3")
+    lmd = [c for c in check.instances if c.quantity == "lmd_path_structure"]
+    assert lmd and all(c.ok for c in lmd), [c for c in lmd if not c.ok]
 
 
 def test_wheel_lemma_outer_variant_fails_on_odd_wheels():
@@ -164,8 +186,12 @@ def test_wheel_lemma_outer_variant_fails_on_odd_wheels():
     A rim path of order two inside W is invisible to the outer comparison,
     and minimum certified bases containing one do exist.
     """
-    check = run_theorem("wheel_lemma_1or3", n_lo=5, n_hi=5, variants=("ldim_ms",))
-    assert not check.passed
+    check = run_theorem("wheel_lemma_1or3")
+    assert not all(
+        c.ok
+        for c in check.instances
+        if c.quantity == "ldim_ms_path_structure" and c.instance.startswith("wheel:5 ")
+    )
     g = gen(parse_family_spec("wheel:5"))
     assert certify(g, (0, 1), Variant.LDIM_MS).valid
     assert not wheel_path_structure(5, (0, 1), outer=True)
