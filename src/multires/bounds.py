@@ -5,7 +5,7 @@ search, and let the verification harness cross-check exact values.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 
 from .graph import (
@@ -24,30 +24,28 @@ from .graph import (
 from .multisets import Variant
 
 
-@dataclass(frozen=True)
-class Bound:
-    value: int
-    provenance: str
+Bound = namedtuple("Bound", "value provenance")
 
 
-@dataclass(frozen=True)
-class InfiniteCertificate:
-    """Structural witness that a variant's dimension is infinite."""
+class InfiniteCertificate(namedtuple("InfiniteCertificate", "variant kind witness description")):
+    """Structural witness that a variant's dimension is infinite.
 
-    variant: Variant
-    kind: str  # diam_le_2 | triple_open_neighborhood | triple_k_end
-    witness: tuple
-    description: str
+    kind is diam_le_2, triple_open_neighborhood or triple_k_end.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    lower: dict  # Variant -> best Bound
-    lower_candidates: dict  # Variant -> tuple of all applicable Bounds
-    upper: dict  # Variant -> int (max(1, n-1) for the outer variants)
-    certificates: tuple  # InfiniteCertificate, ...
-    skipped: tuple  # human-readable notes for bounds skipped by caps
+class BoundReport(
+    namedtuple("BoundReport", "n lower lower_candidates upper certificates skipped")
+):
+    """lower maps each Variant to its best Bound, lower_candidates to the
+    tuple of all applicable Bounds, upper to an int (max(1, n-1) for the
+    outer variants). certificates is a tuple of InfiniteCertificates, skipped
+    a tuple of human-readable notes for the bounds skipped by caps.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -17,7 +17,7 @@ reproducible:
                        pendant paths in j order
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .errors import CapExceededError, GraphValidationError
@@ -27,8 +27,7 @@ ALL_CONNECTED_CAP = 7
 CORPUS_CAP = 8  # 11 117 classes on 8 vertices, 261 080 on 9
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "tag numbers subs", defaults=((), ()))):
     """Parametric description of a generated family.
 
     Compact string grammar (see parse_family_spec): "wheel:8",
@@ -36,9 +35,7 @@ class FamilySpec:
     "unicyclic:5/1,5", "gadget:8".
     """
 
-    tag: str
-    numbers: tuple = ()
-    subs: tuple = ()
+    __slots__ = ()
 
     def __str__(self):
         if self.tag == "corona":
@@ -183,8 +180,7 @@ def gen_unicyclic(c, parents=()):
     return Graph(c + len(parents), edges)
 
 
-@dataclass(frozen=True)
-class CliqueGadget:
+class CliqueGadget(namedtuple("CliqueGadget", "graph landmarks clique labels")):
     """Clique-of-order-n gadget with its distinguished landmark set.
 
     labels maps each clique vertex to its k-vector of distances to the
@@ -193,10 +189,7 @@ class CliqueGadget:
     graph is K_2 with landmark 0, and labels is empty.
     """
 
-    graph: Graph
-    landmarks: tuple
-    clique: tuple
-    labels: dict
+    __slots__ = ()
 
 
 def gen_clique_gadget(n):

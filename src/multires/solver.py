@@ -199,7 +199,7 @@ loop's budget error when that sum passes the budget.
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add, mul, or_
@@ -220,27 +220,25 @@ def show_value(value):
 SOLVER_CAP_DEFAULT = 20
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    # Inert: the search is one sequential loop. Values below 1 are still
-    # rejected. Kept only because the benchmark's compute-jobs2 workload
-    # sets parallel_shards=2.
-    parallel_shards: int = 1
-    subset_budget: int = None
-    cap: int = SOLVER_CAP_DEFAULT
-
+# parallel_shards is inert: the search is one sequential loop. Values below 1
+# are still rejected. Kept only because the benchmark's compute-jobs2 workload
+# sets parallel_shards=2.
+SolverOptions = namedtuple(
+    "SolverOptions", "parallel_shards subset_budget cap", defaults=(1, None, SOLVER_CAP_DEFAULT)
+)
 
 _DEFAULT_OPTIONS = SolverOptions()
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    variant: Variant
-    value: float  # positive int, or INFINITE
-    witness: tuple  # sorted vertex tuple when finite, else None
-    subsets_checked: int
-    certificate: str
-    elapsed_ms: int
+class DimensionResult(
+    namedtuple(
+        "DimensionResult", "variant value witness subsets_checked certificate elapsed_ms"
+    )
+):
+    """value is a positive int or INFINITE; witness is the sorted vertex
+    tuple when value is finite, else None."""
+
+    __slots__ = ()
 
     @property
     def is_infinite(self):
@@ -257,12 +255,8 @@ class DimensionResult:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    variant: Variant
-    witness: tuple
-    valid: bool
-    violating: tuple
+class Certificate(namedtuple("Certificate", "variant witness valid violating")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -8,7 +8,7 @@ NoClosedFormError.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .bounds import (
@@ -199,20 +199,27 @@ def closed_form(spec, variant):
     raise NoClosedFormError(f"no closed form for ({spec}, {variant.name})")
 
 
-@dataclass(frozen=True)
-class InstanceCheck:
-    instance: str
-    quantity: str
-    expected: object
-    computed: object
-    ok: bool
-    note: str = ""
+InstanceCheck = namedtuple(
+    "InstanceCheck", "instance quantity expected computed ok note", defaults=("",)
+)
 
 
-@dataclass
 class TheoremCheck:
-    theorem_id: str
-    instances: list = field(default_factory=list)
+    """The InstanceChecks of one theorem; the one record type that grows."""
+
+    __slots__ = ("theorem_id", "instances")
+
+    def __init__(self, theorem_id, instances=None):
+        self.theorem_id = theorem_id
+        self.instances = [] if instances is None else instances
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.theorem_id, self.instances) == (other.theorem_id, other.instances)
+
+    def __repr__(self):
+        return f"TheoremCheck(theorem_id={self.theorem_id!r}, instances={self.instances!r})"
 
     @property
     def passed(self):
