@@ -226,33 +226,33 @@ def infinite_certificates(g, cap=OMEGA_CAP):
     return tuple(certs)
 
 
-def lower_bounds(g, omega_cap=OMEGA_CAP, chi_cap=CHI_CAP):
+def lower_bounds(g):
     """Best applicable lower bound for LMD and LDIM_MS, with provenance.
 
-    Each candidate bound is computed only when its inputs fit the exact caps;
-    skipped candidates are listed so callers can tell that the report is
-    partial rather than silently heuristic. The distance matrix is built
-    only for the chromatic bound, so never above `chi_cap`.
+    Each candidate bound is computed only when its inputs fit the exact caps
+    (`graph.OMEGA_CAP`, `graph.CHI_CAP`); skipped candidates are listed so
+    callers can tell that the report is partial rather than silently
+    heuristic. The distance matrix is built only for the chromatic bound, so
+    never above CHI_CAP.
     """
-    certificates = infinite_certificates(g, omega_cap)
+    certificates = infinite_certificates(g, OMEGA_CAP)
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None
     if not bipartite:
         candidates.append(Bound(2, "nonbipartite_2"))
-    if g.n <= omega_cap:
-        omega = clique_number(g, cap=omega_cap)
-        candidates.append(Bound(max(1, clique_log_bound(omega)), "clique_log"))
+    if g.n <= OMEGA_CAP:
+        candidates.append(Bound(max(1, clique_log_bound(clique_number(g))), "clique_log"))
     else:
-        skipped.append(f"clique_log: n={g.n} exceeds omega cap {omega_cap}")
-        skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {omega_cap}")
+        skipped.append(f"clique_log: n={g.n} exceeds omega cap {OMEGA_CAP}")
+        skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {OMEGA_CAP}")
     if not is_complete(g):  # diameter >= 2
-        if g.n <= chi_cap:
-            chi = chromatic_number(g, cap=chi_cap)
+        if g.n <= CHI_CAP:
+            chi = chromatic_number(g)
             diam = all_pairs_distances(g).diameter
             candidates.append(Bound(g_bound(diam, chi), "chromatic_gdchi"))
         else:
-            skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {chi_cap}")
+            skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {CHI_CAP}")
     best = max(candidates, key=lambda b: b.value)
     lower = {Variant.LMD: best, Variant.LDIM_MS: best}
     upper = max(1, g.n - 1)  # K_1 still needs one landmark

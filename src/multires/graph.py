@@ -135,7 +135,9 @@ def parse_edge_list(text):
     """Parse ASCII edge-list input: one "u v" pair per line, '#' comments.
 
     The vertex count is 1 + the maximum id seen. The result must be
-    connected.
+    connected. Input with fewer edges than that count minus one cannot be,
+    so its witness pair is found from the ids in the edges alone, with no
+    state for the ids in between.
     """
     edges = []
     max_id = -1
@@ -158,6 +160,12 @@ def parse_edge_list(text):
         max_id = max(max_id, u, v)
     if max_id < 0:
         raise GraphParseError("no edges in input")
+    if max_id > len(edges):
+        ids = sorted({0}.union(*edges))  # 0 is vertex 0 of the relabelled graph
+        index = {v: i for i, v in enumerate(ids)}
+        dist = _bfs(Graph(len(ids), [(index[u], index[v]) for u, v in edges]), 0)
+        reached = {v for v, d in zip(ids, dist) if d >= 0}
+        raise DisconnectedGraphError(0, next(v for v in range(max_id + 1) if v not in reached))
     g = Graph(max_id + 1, edges)
     g.check_connected()
     return g
@@ -297,16 +305,12 @@ def bipartition(g):
     return tuple(d & 1 for d in row)
 
 
-def maximal_cliques(g, cap=OMEGA_CAP):
-    """Tuple of all maximal cliques, memoized on the graph after the cap check."""
-    if g.n > cap:
-        raise CapExceededError("clique enumeration", g.n, cap)
-    return _maximal_cliques(g)
-
-
 @memoized
-def _maximal_cliques(g):
-    """Bron-Kerbosch with pivoting."""
+def maximal_cliques(g):
+    """Tuple of all maximal cliques by Bron-Kerbosch with pivoting, memoized
+    on the graph; above OMEGA_CAP vertices it raises and stores nothing."""
+    if g.n > OMEGA_CAP:
+        raise CapExceededError("clique enumeration", g.n, OMEGA_CAP)
     return tuple(_extensions(g.adj, [], frozenset(range(g.n)), frozenset()))
 
 
@@ -323,20 +327,20 @@ def _extensions(adj, clique, candidates, excluded):
         excluded = excluded | {v}
 
 
-def clique_number(g, cap=OMEGA_CAP):
-    return max(len(c) for c in maximal_cliques(g, cap))
+def clique_number(g):
+    return max(len(c) for c in maximal_cliques(g))
 
 
-def chromatic_number(g, cap=CHI_CAP):
+def chromatic_number(g):
     """Exact chromatic number by backtracking k-colorability, k ascending from omega."""
-    if g.n > cap:
-        raise CapExceededError("chromatic number", g.n, cap)
+    if g.n > CHI_CAP:
+        raise CapExceededError("chromatic number", g.n, CHI_CAP)
     if bipartition(g) is not None:
         return 2 if g.edges else 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
     colors = [-1] * g.n  # a branch that fails uncolours what it coloured
     # n colours always suffice, and a graph that is not bipartite has n >= 3
-    first = max(clique_number(g, cap), 3)
+    first = max(clique_number(g), 3)
     return next(k for k in range(first, g.n + 1) if _colourable(g.adj, order, colors, k))
 
 

@@ -204,41 +204,14 @@ InstanceCheck = namedtuple(
 )
 
 
-class TheoremCheck:
-    """The InstanceChecks of one theorem; the one record type that grows."""
+class TheoremCheck(namedtuple("TheoremCheck", "theorem_id instances")):
+    """The InstanceChecks of one theorem, as a tuple; run_theorem builds it."""
 
-    __slots__ = ("theorem_id", "instances")
-
-    def __init__(self, theorem_id, instances=None):
-        self.theorem_id = theorem_id
-        self.instances = [] if instances is None else instances
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.theorem_id, self.instances) == (other.theorem_id, other.instances)
-
-    def __repr__(self):
-        return f"TheoremCheck(theorem_id={self.theorem_id!r}, instances={self.instances!r})"
+    __slots__ = ()
 
     @property
     def passed(self):
         return all(c.ok for c in self.instances)
-
-    def add(self, instance, quantity, expected, computed, note=""):
-        self.instances.append(
-            InstanceCheck(
-                instance=str(instance),
-                quantity=quantity,
-                expected=expected,
-                computed=computed,
-                ok=expected == computed,
-                note=note,
-            )
-        )
-
-    def add_flag(self, instance, quantity, ok, note=""):
-        self.add(instance, quantity, True, bool(ok), note)
 
     def failures(self):
         return [c for c in self.instances if not c.ok]
@@ -290,24 +263,21 @@ def _runs_ok(n, subset):
 
 # --- theorem checks ---------------------------------------------------------
 #
-# A check fills the TheoremCheck that run_theorem hands it, from a fixed
-# instance list: the closed-form checks from the FamilySpec lists below, the
-# others from the instances written into them.
+# A check is a generator of rows (instance, quantity, expected, computed[,
+# note]) over a fixed instance list: the closed-form checks over the
+# FamilySpec lists below, the others over the instances written into them. A
+# necessary condition is the row (instance, quantity, True, holds).
 
 
 def closed_forms(specs, variants):
     """Build a check comparing closed_form with dimension on each spec and variant."""
 
-    def check_closed_forms(check):
+    def check_closed_forms():
         for spec in specs:
             g = gen(spec)
             for variant in variants:
-                check.add(
-                    spec,
-                    variant.name.lower(),
-                    closed_form(spec, variant),
-                    dimension(g, variant).value,
-                )
+                value = dimension(g, variant).value
+                yield spec, variant.name.lower(), closed_form(spec, variant), value
 
     return check_closed_forms
 
@@ -343,7 +313,7 @@ UNICYCLIC = [
 ]
 
 
-def check_wheel_lemma_1or3(check):
+def check_wheel_lemma_1or3():
     """Necessary-condition check on every minimum wheel resolving set.
 
     This check applies the structure condition as a hard necessary one; for
@@ -357,12 +327,10 @@ def check_wheel_lemma_1or3(check):
             result = dimension(g, variant)
             if result.is_infinite:
                 continue
+            quantity = f"{variant.name.lower()}_path_structure"
             for W in resolving_sets(g, variant, int(result.value)):
-                check.add_flag(
-                    f"wheel:{n} W={W}",
-                    f"{variant.name.lower()}_path_structure",
-                    wheel_path_structure(n, W, variant.outer),
-                )
+                holds = wheel_path_structure(n, W, variant.outer)
+                yield f"wheel:{n} W={W}", quantity, True, holds
 
 
 CORONA_MIXED_INSTANCES = (
@@ -389,7 +357,7 @@ CORONA_MIXED_INSTANCES = (
 )
 
 
-def check_corona(check):
+def check_corona():
     """Corona lower bounds everywhere; sharpness at odd path orders.
 
     Sharpness does not extend to every path of order >= 3: exhaustive
@@ -404,11 +372,11 @@ def check_corona(check):
         lmd = dimension(g, Variant.LMD).value
         ldms = dimension(g, Variant.LDIM_MS).value
         if k % 2 == 1:
-            check.add(spec, "lmd_sharp", k, lmd)
-            check.add(spec, "ldim_ms_sharp", k, ldms)
+            yield spec, "lmd_sharp", k, lmd
+            yield spec, "ldim_ms_sharp", k, ldms
         else:
-            check.add_flag(spec, "lmd_ge_m", lmd >= k)
-            check.add_flag(spec, "ldim_ms_ge_sum", ldms >= k)
+            yield spec, "lmd_ge_m", True, lmd >= k
+            yield spec, "ldim_ms_ge_sum", True, ldms >= k
     for base_text, orders in CORONA_MIXED_INSTANCES:
         spec = FamilySpec(
             "corona", tuple(orders), (parse_family_spec(base_text),)
@@ -420,58 +388,44 @@ def check_corona(check):
             # corrected: order-1 pendant cliques create no K-end pair, so the
             # finite lower bound counts the order-2 cliques only (P_3 with one
             # pendant vertex per base vertex is bipartite, lmd 1 < 3)
-            check.add_flag(
-                spec, "lmd_ge_m2", lmd >= sum(1 for mi in orders if mi == 2)
-            )
+            m2 = sum(1 for mi in orders if mi == 2)
+            yield spec, "lmd_ge_m2", True, lmd >= m2
         else:
-            check.add_flag(spec, "lmd_infinite_for_big_cliques", lmd == INFINITE)
-        check.add_flag(
-            spec, "ldim_ms_ge_sum", ldms >= sum(mi - 1 for mi in orders)
-        )
+            yield spec, "lmd_infinite_for_big_cliques", True, lmd == INFINITE
+        yield spec, "ldim_ms_ge_sum", True, ldms >= sum(mi - 1 for mi in orders)
 
 
-def check_clique_gadget(check):
+def check_clique_gadget():
     for n in (2, 3, 4, 5, 6, 8):
         gadget = gen_clique_gadget(n)
         g = gadget.graph
         target = max(1, (n - 1).bit_length())
-        check.add(f"gadget:{n}", "omega", n, clique_number(g))
+        yield f"gadget:{n}", "omega", n, clique_number(g)
         cert_lmd = certify(g, gadget.landmarks, Variant.LMD)
         cert_out = certify(g, gadget.landmarks, Variant.LDIM_MS)
-        check.add_flag(f"gadget:{n}", "landmarks_resolve_lmd", cert_lmd.valid)
-        check.add_flag(f"gadget:{n}", "landmarks_resolve_ldim_ms", cert_out.valid)
+        yield f"gadget:{n}", "landmarks_resolve_lmd", True, cert_lmd.valid
+        yield f"gadget:{n}", "landmarks_resolve_ldim_ms", True, cert_out.valid
         if n > 2:
             report = lower_bounds(g)
-            check.add(
-                f"gadget:{n}", "lower_bound", target, report.lower[Variant.LMD].value
-            )
+            yield f"gadget:{n}", "lower_bound", target, report.lower[Variant.LMD].value
         if g.n <= 12:
             for variant in (Variant.LMD, Variant.LDIM_MS):
-                check.add(
-                    f"gadget:{n}",
-                    f"{variant.name.lower()}_exact",
-                    target,
-                    dimension(g, variant).value,
-                )
+                value = dimension(g, variant).value
+                yield f"gadget:{n}", f"{variant.name.lower()}_exact", target, value
         else:
             # certificate (upper bound |W| = target) + lower bound pin the value
-            check.add_flag(
-                f"gadget:{n}",
-                "certificate_matches_bound",
-                len(gadget.landmarks) == target,
-            )
+            matches = len(gadget.landmarks) == target
+            yield f"gadget:{n}", "certificate_matches_bound", True, matches
 
 
-def check_chromatic_bound(check):
+def check_chromatic_bound():
     for chi in range(1, 51):
-        check.add(f"(d=2,chi={chi})", "g", _ceil_div(chi, 2), g_bound(2, chi))
+        yield f"(d=2,chi={chi})", "g", _ceil_div(chi, 2), g_bound(2, chi)
         # ceil(sqrt(chi + 2)) - 1, via isqrt to stay in exact integers
-        check.add(
-            f"(d=3,chi={chi})", "g", max(1, math.isqrt(chi + 1)), g_bound(3, chi)
-        )
+        yield f"(d=3,chi={chi})", "g", max(1, math.isqrt(chi + 1)), g_bound(3, chi)
 
 
-def check_maxsubgraph_sharpness(check):
+def check_maxsubgraph_sharpness():
     """Leafless-core upper bound on pendant instances, with equality cases.
 
     One pendant vertex per core vertex; equality is asserted where it
@@ -485,22 +439,21 @@ def check_maxsubgraph_sharpness(check):
         spec = FamilySpec("corona", tuple([1] * base.n), (base_spec,))
         g = gen(spec)
         core, vertices = two_core(g)
-        check.add(spec, "core_vertices", tuple(range(base.n)), vertices)
+        yield spec, "core_vertices", tuple(range(base.n)), vertices
         for variant in LOCAL_VARIANTS:
             core_val = dimension(core, variant).value
             val = dimension(g, variant).value
             name = variant.name.lower()
-            check.add_flag(spec, f"{name}_le_core", val <= core_val)
+            yield spec, f"{name}_le_core", True, val <= core_val
             if variant is Variant.LDIM_MS or base.n % 2 == 0:
-                check.add(spec, f"{name}_equals_core", core_val, val)
+                yield spec, f"{name}_equals_core", core_val, val
 
 
 # --- exhaustive small-graph corpus ------------------------------------------
 
 
 def _examine_graph(g):
-    """Per-graph clause checks for the exhaustive corpus; returns failures."""
-    failures = []
+    """Per-graph clause checks for the exhaustive corpus; yields each failure."""
     n = g.n
     results = naive_all_dimensions(g)
     val = {v: results[v].value for v in Variant}
@@ -515,36 +468,34 @@ def _examine_graph(g):
         and (n < 2 or val[Variant.DIM_MS] <= n - 1)
     )
     if not chain_ok:
-        failures.append(("observation_chain", desc))
+        yield "observation_chain", desc
 
     bip = bipartition(g) is not None
     if ((val[Variant.LMD] == 1) != bip) or ((val[Variant.LDIM_MS] == 1) != bip):
-        failures.append(("bipartite_iff_1", desc))
+        yield "bipartite_iff_1", desc
 
     md_inf = val[Variant.MD] == INFINITE
     if (all_pairs_distances(g).diameter <= 2 and not is_path_graph(g)) and not md_inf:
-        failures.append(("infmd_diam", desc))
+        yield "infmd_diam", desc
     if not md_inf and any(len(vs) >= 3 for vs in twin_classes(g, False).values()):
-        failures.append(("infmd_triple", desc))
+        yield "infmd_triple", desc
     report = lower_bounds(g)
     for cert in report.certificates:
         if val[cert.variant] != INFINITE:
-            failures.append(("certificate_confirmed", f"{desc} {cert.kind}"))
+            yield "certificate_confirmed", f"{desc} {cert.kind}"
 
     if n >= 2 and not dms_extremal_check(g, results[Variant.DIM_MS]):
-        failures.append(("dms_extremal", desc))
+        yield "dms_extremal", desc
 
     for variant in (Variant.LMD, Variant.LDIM_MS):
         if report.lower[variant].value > val[variant]:
-            failures.append(
-                ("lower_bound_le_exact", f"{desc} {report.lower[variant]}")
-            )
+            yield "lower_bound_le_exact", f"{desc} {report.lower[variant]}"
     for variant in (Variant.DIM, Variant.MD, Variant.DIM_MS):
         if level_lower_bound(g, variant) > val[variant]:
-            failures.append(("counting_bound_le_exact", f"{desc} {variant.name}"))
+            yield "counting_bound_le_exact", f"{desc} {variant.name}"
     for variant, upper in report.upper.items():
         if upper < val[variant]:
-            failures.append(("upper_bound_ge_exact", f"{desc} {variant.name}"))
+            yield "upper_bound_ge_exact", f"{desc} {variant.name}"
 
     try:
         core, vertices = two_core(g)
@@ -556,8 +507,7 @@ def _examine_graph(g):
         )
         for variant in (Variant.LMD, Variant.LDIM_MS):
             if val[variant] > core_vals[variant].value:
-                failures.append(("maxsubgraph_le", desc))
-    return failures
+                yield "maxsubgraph_le", desc
 
 
 _CORPUS_CACHE = {}  # n -> (labeled count, failures) of the classes on n vertices
@@ -631,20 +581,19 @@ def run_theorem(theorem_id, n_max=5, jobs=1):
         raise NoClosedFormError(f"unknown theorem id {theorem_id!r}")
     if n_max < 1:
         raise GraphValidationError(f"verify needs n_max >= 1, got {n_max}")
-    check = TheoremCheck(theorem_id)
     if theorem_id in CHECKS:
-        CHECKS[theorem_id](check)
-        return check
-    clauses = CORPUS_CLAUSES[theorem_id]
-    count, failures = corpus_scan(n_max)
-    relevant = [f for f in failures if f[0] in clauses]
-    check.add_flag(
-        f"all connected graphs n<={n_max} ({count} graphs)",
-        "+".join(clauses),
-        not relevant,
-        note="; ".join(f"{c}: {d}" for c, d in relevant[:5]),
+        rows = CHECKS[theorem_id]()
+    else:
+        clauses = CORPUS_CLAUSES[theorem_id]
+        count, failures = corpus_scan(n_max)
+        relevant = [f for f in failures if f[0] in clauses]
+        note = "; ".join(f"{c}: {d}" for c, d in relevant[:5])
+        corpus = f"all connected graphs n<={n_max} ({count} graphs)"
+        rows = [(corpus, "+".join(clauses), True, not relevant, note)]
+    return TheoremCheck(
+        theorem_id,
+        tuple(InstanceCheck(str(i), q, e, c, e == c, *rest) for i, q, e, c, *rest in rows),
     )
-    return check
 
 
 def run_all(n_max=5):

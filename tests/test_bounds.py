@@ -129,19 +129,6 @@ def test_lower_bounds_lists_skipped_k_end_certificate():
     assert any(note.startswith("triple_k_end") for note in report.skipped)
 
 
-def test_lower_bounds_honours_its_caps():
-    # each graph is above a default cap (omega 20, chi 16) but within the one given
-    report = lower_bounds(gen_complete(22), omega_cap=25)
-    got = {b.provenance: b.value for b in report.lower_candidates[Variant.LMD]}
-    assert got["clique_log"] == 5
-    assert "triple_k_end" in [c.kind for c in report.certificates]
-    assert report.skipped == ()
-    report = lower_bounds(gen_wheel(17), chi_cap=20)
-    got = {b.provenance: b.value for b in report.lower_candidates[Variant.LMD]}
-    assert got["chromatic_gdchi"] == 2
-    assert report.skipped == ()
-
-
 def test_lower_bounds_bipartite():
     report = lower_bounds(gen_cycle(8))
     assert report.lower[Variant.LMD].value == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -78,6 +79,31 @@ def test_parse_edge_list_errors():
         parse_edge_list("1 1\n")  # a loop
     with pytest.raises(DisconnectedGraphError):
         parse_edge_list("0 1\n2 3\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["1 2\n2 5\n", "0 1\n1 3\n3 2\n5 6\n", "0 3\n3 1\n4 2\n"]
+)
+def test_too_few_edges_give_the_witness_of_the_whole_graph(text):
+    # fewer edges than the largest id cannot connect 0..max id; the witness
+    # read off the ids in use is the one the full graph's BFS gives
+    edges = [tuple(map(int, line.split())) for line in text.splitlines()]
+    with pytest.raises(DisconnectedGraphError) as full:
+        Graph(max(map(max, edges)) + 1, edges).check_connected()
+    with pytest.raises(DisconnectedGraphError) as parsed:
+        parse_edge_list(text)
+    assert (parsed.value.u, parsed.value.v) == (full.value.u, full.value.v)
+
+
+def test_a_large_id_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="no path between vertices 0 and 2"):
+            parse_edge_list("0 1\n1 1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000  # a million vertex sets took hundreds of MB
 
 
 def test_edge_list_round_trip():
@@ -170,7 +196,7 @@ def test_maximal_cliques_wheel():
 
 def test_clique_cap():
     with pytest.raises(CapExceededError):
-        maximal_cliques(gen_path(25), cap=20)
+        maximal_cliques(gen_path(25))
     with pytest.raises(CapExceededError):
         chromatic_number(gen_wheel(16))  # n = 17 > CHI_CAP
 
@@ -275,15 +301,15 @@ def bfs_sources(monkeypatch):
 
 def test_solve_all_builds_distances_and_cliques_once(bfs_sources, monkeypatch):
     g = gen_wheel(8)
-    cliques = graph._maximal_cliques
+    cliques = graph.maximal_cliques
 
     def forbidden(g):
         raise AssertionError("the solver enumerated cliques")
 
-    monkeypatch.setattr(graph, "_maximal_cliques", forbidden)
+    monkeypatch.setattr(graph, "maximal_cliques", forbidden)
     solve_all(g)
     assert sorted(bfs_sources) == list(range(g.n))
-    monkeypatch.setattr(graph, "_maximal_cliques", cliques)
+    monkeypatch.setattr(graph, "maximal_cliques", cliques)
     lower_bounds(g)
     lower_bounds(g)
     assert maximal_cliques(g) is maximal_cliques(g)  # one tuple, built once
@@ -344,13 +370,6 @@ def test_a_parsed_graph_runs_each_bfs_once(bfs_sources):
     assert bfs_sources == [0]
     all_pairs_distances(g)
     assert sorted(bfs_sources) == list(range(10))
-
-
-def test_clique_cap_is_checked_on_a_memo_hit():
-    g = gen_complete(5)
-    maximal_cliques(g)
-    with pytest.raises(CapExceededError):
-        maximal_cliques(g, cap=4)
 
 
 def test_disconnected_graph_raises_every_time():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations_with_replacement
 
 import pytest
@@ -289,3 +291,34 @@ def test_run_all_instance_lists_are_pinned():
         ("lower_bounds", 1),
         ("maxsubgraph", 1),
     ]
+
+
+# theorem id -> the first 16 hex digits of the SHA-256 of its rows at
+# n_max=4, as JSON: every field of every row, so a change to any value,
+# note or order names the theorem it touches
+ROW_DIGESTS = {
+    "cycles": "3383952176a92ecf",
+    "wheels": "92f3ebe15f9ed3d3",
+    "wheel_ldim": "72ece51276326e0f",
+    "wheel_lemma_1or3": "994834adafb2dafe",
+    "complete": "13a55e81ec859dfe",
+    "amal": "b022825e283ea7b7",
+    "edge_amal": "2107285d6f8970b3",
+    "corona": "4f9a6f450682d8f3",
+    "unicyclic": "4108c570505dbeb4",
+    "clique_gadget": "28c746f70d4bb2db",
+    "chromatic_bound": "b01fedbc5e70946a",
+    "maxsubgraph_sharpness": "602fff27a9ccea4b",
+    "observation_chain": "6cad7d500e37242c",
+    "bipartite_iff_1": "c1761efca7c880c2",
+    "infmd": "2bb77a01871b8e26",
+    "dms_extremal": "b845f943c1c963b9",
+    "lower_bounds": "62a4e32e0995d40a",
+    "maxsubgraph": "0aa74df21dedd545",
+}
+
+
+@pytest.mark.parametrize("theorem_id", ROW_DIGESTS)
+def test_theorem_rows_are_pinned(theorem_id):
+    rows = json.dumps([list(c) for c in run_theorem(theorem_id, n_max=4).instances])
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == ROW_DIGESTS[theorem_id]
