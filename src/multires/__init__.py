@@ -35,12 +35,12 @@ from .generators import (
     parse_family_spec,
 )
 from .graph import (
-    DistMatrix,
     Graph,
     all_pairs_distances,
     bipartition,
     chromatic_number,
     clique_number,
+    diameter,
     distance_row,
     parse_edge_list,
     parse_graph6,
@@ -80,7 +80,6 @@ __all__ = [
     "CliqueGadget",
     "DimensionResult",
     "DisconnectedGraphError",
-    "DistMatrix",
     "FamilySpec",
     "Graph",
     "GraphParseError",
@@ -102,6 +101,7 @@ __all__ = [
     "clique_number",
     "closed_form",
     "corpus_scan",
+    "diameter",
     "dimension",
     "distance_row",
     "dms_extremal_check",

@@ -11,10 +11,10 @@ from itertools import groupby
 from .graph import (
     CHI_CAP,
     OMEGA_CAP,
-    all_pairs_distances,
     bipartition,
     chromatic_number,
     clique_number,
+    diameter,
     distance_row,
     k_end_groups,
     memoized,
@@ -110,7 +110,7 @@ def level_lower_bound(g, variant):
     """
     if g.n == 1 or variant.adjacent:
         return 1
-    n, D = g.n, all_pairs_distances(g).diameter
+    n, D = g.n, diameter(g)
     degrees = sorted(map(len, g.adj))
 
     def fits(k):
@@ -165,23 +165,35 @@ def is_path_graph(g):
 
 
 @memoized
-def infinite_certificates(g, cap=OMEGA_CAP):
-    """Structural proofs of infiniteness for MD and LMD, as a tuple.
+def infinite_certificates(g, variant):
+    """Structural proofs that `variant`'s dimension is infinite, as a tuple.
 
     MD: diameter <= 2 (paths excepted: md(P_2) = md(P_3) = 1, so the raw
     diameter condition is false for them) or three vertices with the same
     open neighbourhood (`graph.twin_classes`). LMD: a clique with three or
-    more K-end vertices (`graph.k_end_groups`). Neither enumerates cliques,
-    but the LMD one is derived only for n <= cap; above it, `lower_bounds`
-    lists it as skipped.
+    more K-end vertices (`graph.k_end_groups`). Neither enumerates cliques.
+    Every other variant is always finite and gets ().
 
-    Memoized on the graph for each cap (`graph.memoized`), which every
-    caller in the package passes, so the MD and LMD solves of one graph
-    derive them once. A disconnected graph raises on every call, since a
-    call that raises stores nothing. The connectivity check is the memoized
-    BFS row of vertex 0, which `bipartition` and the distance matrix share.
+    Memoized on the graph per variant (`graph.memoized`), so a solve derives
+    only its own variant's certificates. A disconnected graph raises on
+    every call, since a call that raises stores nothing. The connectivity
+    check is the memoized BFS row of vertex 0, which `bipartition` and the
+    distance rows share.
     """
     distance_row(g, 0)
+    if variant is Variant.LMD:
+        return tuple(
+            InfiniteCertificate(
+                Variant.LMD,
+                "triple_k_end",
+                ends,
+                f"clique {clique} has {len(ends)} K-end vertices",
+            )
+            for clique, ends in k_end_groups(g)
+            if len(ends) >= 3
+        )
+    if variant is not Variant.MD:
+        return ()
     certs = []
     if within_two_hops(g) and not is_path_graph(g):
         # at diameter 1 or 2, d(u, v) is the diameter exactly when u != v
@@ -212,17 +224,6 @@ def infinite_certificates(g, cap=OMEGA_CAP):
                     f"vertices {triple} share one open neighbourhood",
                 )
             )
-    if g.n <= cap:
-        for clique, ends in k_end_groups(g):
-            if len(ends) >= 3:
-                certs.append(
-                    InfiniteCertificate(
-                        Variant.LMD,
-                        "triple_k_end",
-                        ends,
-                        f"clique {clique} has {len(ends)} K-end vertices",
-                    )
-                )
     return tuple(certs)
 
 
@@ -232,16 +233,18 @@ def lower_bounds(g):
     Each candidate bound is computed only when its inputs fit the exact caps
     (`graph.OMEGA_CAP`, `graph.CHI_CAP`); skipped candidates are listed so
     callers can tell that the report is partial rather than silently
-    heuristic. The distance matrix is built only for the chromatic bound, so
-    never above CHI_CAP.
+    heuristic. The certificates are MD's, then LMD's up to OMEGA_CAP (this
+    is the one place that caps them). The distance rows are built only for
+    the chromatic bound, so never above CHI_CAP.
     """
-    certificates = infinite_certificates(g, OMEGA_CAP)
+    certificates = infinite_certificates(g, Variant.MD)
     candidates = [Bound(1, "trivial_1")]
     skipped = []
     bipartite = bipartition(g) is not None
     if not bipartite:
         candidates.append(Bound(2, "nonbipartite_2"))
     if g.n <= OMEGA_CAP:
+        certificates += infinite_certificates(g, Variant.LMD)
         candidates.append(Bound(max(1, clique_log_bound(clique_number(g))), "clique_log"))
     else:
         skipped.append(f"clique_log: n={g.n} exceeds omega cap {OMEGA_CAP}")
@@ -249,8 +252,7 @@ def lower_bounds(g):
     if not is_complete(g):  # diameter >= 2
         if g.n <= CHI_CAP:
             chi = chromatic_number(g)
-            diam = all_pairs_distances(g).diameter
-            candidates.append(Bound(g_bound(diam, chi), "chromatic_gdchi"))
+            candidates.append(Bound(g_bound(diameter(g), chi), "chromatic_gdchi"))
         else:
             skipped.append(f"chromatic_gdchi: n={g.n} exceeds chi cap {CHI_CAP}")
     best = max(candidates, key=lambda b: b.value)
@@ -279,5 +281,5 @@ def dms_extremal_check(g, solved):
     if solved.variant is not Variant.DIM_MS:
         raise ValueError("dms_extremal_check needs the exact DIM_MS result")
     extremal = solved.value == g.n - 1
-    structural = is_regular(g) and all_pairs_distances(g).diameter <= 2
+    structural = is_regular(g) and diameter(g) <= 2
     return extremal == structural

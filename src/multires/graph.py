@@ -11,8 +11,9 @@ reads the K-end vertices off the closed-twin classes that `twin_classes`
 finds by hashing (both memoized on the graph, for the certificates, the
 K-end groups and the solver's twin rules), and `maximal_cliques` serves
 only `clique_number`. `distance_row` builds one BFS row per vertex when it
-is first asked for, and `all_pairs_distances` reads them all. A call that
-needs the distances from a few landmarks builds only their rows;
+is first asked for; `all_pairs_distances` is the tuple of all the rows, and
+`diameter(g)` their largest entry. A call that needs the distances from a
+few landmarks builds only their rows;
 `within_two_hops` decides "diameter <= 2" with no BFS at all, by the Moore
 bound on a two-hop ball and then closed-neighbourhood bitmasks. `_bfs` is
 the one breadth-first search. `bipartition` and `Graph.check_connected`,
@@ -115,20 +116,6 @@ def memoized(build):
         return value
 
     return cached
-
-
-class DistMatrix:
-    """All-pairs shortest path distances (hop counts), immutable."""
-
-    __slots__ = ("n", "d", "diameter")
-
-    def __init__(self, n, d, diameter):
-        self.n = n
-        self.d = d
-        self.diameter = diameter
-
-    def __repr__(self):
-        return f"DistMatrix(n={self.n}, diameter={self.diameter})"
 
 
 def parse_edge_list(text):
@@ -262,9 +249,15 @@ def distance_row(g, s):
 
 @memoized
 def all_pairs_distances(g):
-    """Every distance row, memoized on the graph; errors if disconnected."""
-    rows = tuple(distance_row(g, s) for s in range(g.n))
-    return DistMatrix(g.n, rows, max(map(max, rows)))
+    """The tuple of every distance row, memoized on the graph; errors if
+    disconnected."""
+    return tuple(distance_row(g, s) for s in range(g.n))
+
+
+@memoized
+def diameter(g):
+    """The largest distance, memoized on the graph; errors if disconnected."""
+    return max(map(max, all_pairs_distances(g)))
 
 
 def within_two_hops(g):

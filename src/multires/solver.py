@@ -206,7 +206,9 @@ from operator import add, mul, or_
 
 from .bounds import infinite_certificates, level_lower_bound
 from .errors import BudgetExhaustedError, CapExceededError, GraphValidationError
-from .graph import all_pairs_distances, bipartition, k_end_groups, memoized, twin_classes
+from .graph import (
+    all_pairs_distances, bipartition, diameter, k_end_groups, memoized, twin_classes
+)
 from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
@@ -346,14 +348,14 @@ def _columns(g, variant):
     docstring: a subset's value is base plus (for vector kinds, OR) its
     landmarks' columns, and it resolves iff ((value ^ target) - low) & full
     == full. Memoized on the graph, so `resolving_sets` reuses the tuple."""
-    dm = all_pairs_distances(g)
-    n, D = g.n, dm.diameter
+    rows = all_pairs_distances(g)
+    n, D = g.n, diameter(g)
     if variant.kind == "vector":
         if variant.adjacent:
             # bit i of column w is set when w separates edge i (row[u] is d(u, w))
             cols = tuple(
                 sum(1 << i for i, (u, v) in enumerate(g.edges) if row[u] != row[v])
-                for row in dm.d
+                for row in rows
             )
             return cols, 0, 0, 0, (1 << len(g.edges)) - 1
         # pair (u, v), u < v, is bit off[u] + v - u - 1 (combinations order),
@@ -361,7 +363,7 @@ def _columns(g, variant):
         # d(u, w) from w
         off = list(accumulate(range(n - 1, 0, -1), initial=0))
         cols = []
-        for row in dm.d:
+        for row in rows:
             apart = [(1 << n) - 1] * (D + 1)  # apart[d]: not at distance d from w
             for u, d in enumerate(row):
                 apart[d] ^= 1 << u
@@ -375,7 +377,7 @@ def _columns(g, variant):
     ]
     place = list(accumulate(radix, mul, initial=1))
     F, place[D] = place[D], 0  # every key lies in [0, F)
-    keys = [list(map(place.__getitem__, row)) for row in dm.d]
+    keys = [list(map(place.__getitem__, row)) for row in rows]
     if variant.outer:
         # a landmark's own entry is a sentinel: the key of w in W lies in
         # [-(w+1)*F, -w*F), below every key outside W and apart from the
@@ -550,12 +552,7 @@ def dimension(g, variant, opts=None):
         W, examined = (0,), 1
     elif not variant.always_finite:
         certificate = next(
-            (
-                f"{cert.kind}: {cert.description}"
-                for cert in infinite_certificates(g, opts.cap)
-                if cert.variant is variant
-            ),
-            None,
+            (f"{c.kind}: {c.description}" for c in infinite_certificates(g, variant)), None
         )
     if W is None and certificate is None:
         W, examined = _first_resolving(g, variant, budget)
@@ -603,7 +600,7 @@ def naive_all_dimensions(g, variants=None):
     and builds the keys once per representation kind per subset.
     """
     t0 = time.perf_counter()
-    dm = all_pairs_distances(g)
+    distances = all_pairs_distances(g)
     if variants is None:
         variants = list(Variant)
     n = g.n
@@ -618,7 +615,7 @@ def naive_all_dimensions(g, variants=None):
             keys_by_kind = {}
             for variant in list(pending):
                 if variant.kind not in keys_by_kind:
-                    rows = [dm.d[w] for w in W]
+                    rows = [distances[w] for w in W]
                     keys_by_kind[variant.kind] = vertex_keys(rows, variant.kind)
                 keys = keys_by_kind[variant.kind]
                 if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant)):

@@ -18,15 +18,18 @@ from .bounds import (
     level_lower_bound,
     lower_bounds,
 )
-from .errors import GraphValidationError, NoClosedFormError, NoLeaflessSubgraphError
+from .errors import (
+    CapExceededError, GraphValidationError, NoClosedFormError, NoLeaflessSubgraphError
+)
 from .generators import (
+    CORPUS_CAP,
     FamilySpec,
     connected_classes,
     gen,
     gen_clique_gadget,
     parse_family_spec,
 )
-from .graph import all_pairs_distances, bipartition, clique_number, twin_classes, two_core
+from .graph import bipartition, clique_number, diameter, twin_classes, two_core
 from .multisets import Variant
 from .solver import (
     INFINITE,
@@ -475,7 +478,7 @@ def _examine_graph(g):
         yield "bipartite_iff_1", desc
 
     md_inf = val[Variant.MD] == INFINITE
-    if (all_pairs_distances(g).diameter <= 2 and not is_path_graph(g)) and not md_inf:
+    if (diameter(g) <= 2 and not is_path_graph(g)) and not md_inf:
         yield "infmd_diam", desc
     if not md_inf and any(len(vs) >= 3 for vs in twin_classes(g, False).values()):
         yield "infmd_triple", desc
@@ -575,12 +578,15 @@ THEOREMS = (*CHECKS, *CORPUS_CLAUSES)
 def run_theorem(theorem_id, n_max=5, jobs=1):
     """Run one theorem's check; n_max is the corpus size of the corpus theorems.
 
+    Every theorem rejects an n_max outside 1..CORPUS_CAP before any work.
     `jobs` is accepted and ignored: the benchmark's verify workload passes it.
     """
     if theorem_id not in THEOREMS:
         raise NoClosedFormError(f"unknown theorem id {theorem_id!r}")
     if n_max < 1:
         raise GraphValidationError(f"verify needs n_max >= 1, got {n_max}")
+    if n_max > CORPUS_CAP:
+        raise CapExceededError("connected class enumeration", n_max, CORPUS_CAP)
     if theorem_id in CHECKS:
         rows = CHECKS[theorem_id]()
     else:

@@ -61,15 +61,15 @@ def test_is_path_graph():
 
 
 def test_infinite_certificates_exclude_paths():
-    assert infinite_certificates(gen_path(3)) == ()
-    kinds = {c.kind for c in infinite_certificates(gen_star(3))}
+    assert infinite_certificates(gen_path(3), Variant.MD) == ()
+    kinds = {c.kind for c in infinite_certificates(gen_star(3), Variant.MD)}
     assert kinds == {"diam_le_2", "triple_open_neighborhood"}
-    kinds = {c.kind for c in infinite_certificates(gen_complete(4))}
+    kinds = {c.kind for c in infinite_certificates(gen_complete(4), Variant.LMD)}
     assert "triple_k_end" in kinds
 
 
 def test_solve_all_derives_the_certificates_once(monkeypatch):
-    # the MD and LMD solves share one call memoized on the fresh graph
+    # the MD solve alone calls within_two_hops, memoized on the fresh graph
     calls = []
     two_hops = bounds.within_two_hops
 
@@ -82,17 +82,42 @@ def test_solve_all_derives_the_certificates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_caller_derives_only_the_certificates_it_reads(monkeypatch):
+    calls = {"k_end_groups": 0, "within_two_hops": 0}
+
+    def counting(name):
+        derive = getattr(bounds, name)
+
+        def counted(g):
+            calls[name] += 1
+            return derive(g)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counting(name))
+    dimension(gen_wheel(8), Variant.MD)
+    assert calls == {"k_end_groups": 0, "within_two_hops": 1}
+    dimension(gen_wheel(8), Variant.LMD)
+    assert calls == {"k_end_groups": 1, "within_two_hops": 1}
+    # above the omega cap the K-end groups are skipped, not derived and dropped
+    lower_bounds(gen_complete(25))
+    assert calls == {"k_end_groups": 1, "within_two_hops": 2}
+
+
 def test_certificates_of_a_disconnected_graph_raise_every_time():
     g = Graph(4, [(0, 1), (2, 3)])
-    for _ in range(2):
+    for variant in (Variant.MD, Variant.LMD, Variant.MD):
         with pytest.raises(DisconnectedGraphError):
-            infinite_certificates(g)
+            infinite_certificates(g, variant)
 
 
 def test_certificates_confirmed_by_solver():
     for g in (gen_star(4), gen_complete(5), gen_wheel(4)):
-        for cert in infinite_certificates(g):
-            assert dimension(g, cert.variant).is_infinite, cert
+        for variant in Variant:  # a certificate of a finite value fails
+            for cert in infinite_certificates(g, variant):
+                assert cert.variant is variant
+                assert dimension(g, variant).is_infinite, cert
 
 
 def test_lower_bounds_wheel():

@@ -302,10 +302,17 @@ def test_verify_rejects_empty_corpus(capsys):
     assert "pass" not in out
 
 
-@pytest.mark.parametrize("flag, value, name", [("--n-max", "0", "n_max")])
-def test_verify_rejects_out_of_range_sizes_without_corpus(capsys, flag, value, name):
-    # cycles is a closed-form theorem: it never reaches corpus_scan's check
+@pytest.mark.parametrize(
+    "flag, value, name, status",
+    [
+        pytest.param("--n-max", "0", "n_max", 1, id="--n-max-0-n_max"),
+        pytest.param("--n-max", "9", "n=9 > cap=8", 2, id="--n-max-9-cap"),
+    ],
+)
+def test_verify_rejects_out_of_range_sizes_without_corpus(capsys, flag, value, name, status):
+    # cycles is a closed-form theorem: run_theorem checks the range itself,
+    # for every theorem, before any work
     code, out, err = run(capsys, "verify", "--theorem", "cycles", flag, value)
-    assert code == 1
+    assert code == status
     assert out == ""
     assert name in err

@@ -135,10 +135,10 @@ def test_clique_gadget_labels_match_distances():
     # n = 3 and 5..7, 9..15, 17..31 leave clique vertices out; 4, 8, 16, 32 do not
     for n in range(3, 33):
         gadget = gen_clique_gadget(n)
-        dm = all_pairs_distances(gadget.graph)
+        d = all_pairs_distances(gadget.graph)
         assert sorted(gadget.labels) == list(gadget.clique)
         for v, vec in gadget.labels.items():
-            assert tuple(dm.d[v][w] for w in gadget.landmarks) == vec
+            assert tuple(d[v][w] for w in gadget.landmarks) == vec
 
 
 @pytest.mark.parametrize(

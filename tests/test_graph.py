@@ -28,6 +28,7 @@ from multires.graph import (
     bipartition,
     chromatic_number,
     clique_number,
+    diameter,
     distance_row,
     k_end_groups,
     maximal_cliques,
@@ -116,7 +117,7 @@ def test_graph6_known_values():
     petersen = parse_graph6("IheA@GUAo")
     assert petersen.n == 10
     assert all(petersen.degree(u) == 3 for u in range(10))
-    assert all_pairs_distances(petersen).diameter == 2
+    assert diameter(petersen) == 2
 
 
 def test_graph6_header_and_errors():
@@ -153,9 +154,9 @@ def test_graph6_encoder_rejects_n_above_the_four_byte_header():
 
 
 def test_distances_path():
-    dm = all_pairs_distances(gen_path(5))
-    assert dm.d[0][4] == 4
-    assert dm.diameter == 4
+    g = gen_path(5)
+    assert all_pairs_distances(g)[0][4] == 4
+    assert diameter(g) == 4
 
 
 @pytest.mark.parametrize(
@@ -164,20 +165,18 @@ def test_distances_path():
     ids=["path", "cycle", "wheel", "star", "k1"],
 )
 def test_diameter_is_the_largest_distance(g):
-    dm = all_pairs_distances(g)
-    assert dm.diameter == max(map(max, dm.d))
-    assert repr(dm) == f"DistMatrix(n={g.n}, diameter={dm.diameter})"
+    assert diameter(g) == max(map(max, all_pairs_distances(g)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(n_max=7))
 def test_distance_matrix_axioms(g):
-    dm = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     for u in range(g.n):
-        assert dm.d[u][u] == 0
+        assert d[u][u] == 0
         for v in range(g.n):
-            assert dm.d[u][v] == dm.d[v][u]
-            assert (dm.d[u][v] == 1) == (v in g.adj[u])
+            assert d[u][v] == d[v][u]
+            assert (d[u][v] == 1) == (v in g.adj[u])
 
 
 def test_bipartition():
@@ -359,8 +358,7 @@ def test_lower_bounds_then_certify_build_no_matrix(bfs_sources):
 def test_distance_rows_are_shared_with_the_matrix(bfs_sources):
     g = gen_cycle(7)
     assert distance_row(g, 3) == (3, 2, 1, 0, 1, 2, 3)
-    dm = all_pairs_distances(g)
-    assert dm.d[3] is distance_row(g, 3)
+    assert all_pairs_distances(g)[3] is distance_row(g, 3)
     assert sorted(bfs_sources) == list(range(7))
 
 
@@ -383,7 +381,7 @@ def test_equal_graphs_get_equal_distances():
     a = Graph(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph(4, [(2, 3), (1, 2), (0, 1)])
     assert a is not b and a == b
-    assert all_pairs_distances(a).d == all_pairs_distances(b).d
+    assert all_pairs_distances(a) == all_pairs_distances(b)
 
 
 DISCONNECTED = Graph(5, [(0, 1), (2, 3), (3, 4)])
@@ -393,15 +391,16 @@ DISCONNECTED = Graph(5, [(0, 1), (2, 3), (3, 4)])
     "call",
     [
         lambda g: distance_row(g, 3),
+        diameter,
         lower_bounds,
-        infinite_certificates,
+        lambda g: infinite_certificates(g, Variant.MD),
         lambda g: certify(g, (3,), Variant.MD),
         lambda g: is_resolving(g, (3,), Variant.LDIM),
         bipartition,
         chromatic_number,
     ],
     ids=[
-        "row", "lower_bounds", "certificates", "certify", "is_resolving",
+        "row", "diameter", "lower_bounds", "certificates", "certify", "is_resolving",
         "bipartition", "chromatic_number",
     ],
 )
@@ -436,15 +435,15 @@ def test_disconnected_graph_names_the_first_vertex_unreachable_from_0(call):
 )
 def test_within_two_hops_named_graphs(g, expected):
     assert within_two_hops(g) == expected
-    assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2)
+    assert within_two_hops(g) == (diameter(g) <= 2)
 
 
 def test_within_two_hops_on_every_class_up_to_7(classes7):
     for g, _ in classes7:
-        assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2), g.edges
+        assert within_two_hops(g) == (diameter(g) <= 2), g.edges
 
 
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(n_max=8))
 def test_within_two_hops_is_diameter_at_most_two(g):
-    assert within_two_hops(g) == (all_pairs_distances(g).diameter <= 2)
+    assert within_two_hops(g) == (diameter(g) <= 2)

@@ -42,7 +42,7 @@ def test_variant_finiteness():
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(n_max=6), st.data())
 def test_multiset_is_order_insensitive_and_idempotent(g, data):
-    dm = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     W = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=g.n - 1),
@@ -51,18 +51,18 @@ def test_multiset_is_order_insensitive_and_idempotent(g, data):
             unique=True,
         )
     )
-    rows = [dm.d[w] for w in W]
+    rows = [d[w] for w in W]
     bags = vertex_keys(rows, "multiset")
     assert bags == vertex_keys(rows[::-1], "multiset")
     for u, bag in enumerate(bags):
         assert bag == tuple(sorted(bag))
-        assert bag == tuple(sorted(dm.d[u][w] for w in W))
+        assert bag == tuple(sorted(d[u][w] for w in W))
 
 
 def test_vertex_keys_vector_follows_row_order():
-    dm = all_pairs_distances(gen_path(4))
-    assert vertex_keys([dm.d[3], dm.d[1]], "vector")[0] == (3, 1)
-    assert vertex_keys([dm.d[3], dm.d[1]], "multiset")[0] == (1, 3)
+    d = all_pairs_distances(gen_path(4))
+    assert vertex_keys([d[3], d[1]], "vector")[0] == (3, 1)
+    assert vertex_keys([d[3], d[1]], "multiset")[0] == (1, 3)
 
 
 def test_scope_pairs():
@@ -123,7 +123,7 @@ def test_vector_resolving_implies_multiset_scope_containment(g):
 @given(connected_graphs(n_max=8), st.data())
 def test_violating_pairs_match_the_definition(g, data):
     """The same pairs, in the same order, as a scan of scope_pairs."""
-    dm = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     W = tuple(
         data.draw(
             st.lists(
@@ -136,9 +136,9 @@ def test_violating_pairs_match_the_definition(g, data):
     )
     for variant in Variant:
         if variant.kind == "vector":
-            keys = [tuple(dm.d[u][w] for w in sorted(W)) for u in range(g.n)]
+            keys = [tuple(d[u][w] for w in sorted(W)) for u in range(g.n)]
         else:
-            keys = [tuple(sorted(dm.d[u][w] for w in W)) for u in range(g.n)]
+            keys = [tuple(sorted(d[u][w] for w in W)) for u in range(g.n)]
         want = [
             (u, v) for u, v in scope_pairs(g, W, variant) if keys[u] == keys[v]
         ]

@@ -34,6 +34,7 @@ from multires.graph import (
     Graph,
     all_pairs_distances,
     bipartition,
+    diameter,
     parse_graph6,
     twin_classes,
 )
@@ -372,7 +373,7 @@ def test_widest_lanes_at_the_cap_match_naive():
     # pair lanes of 46 bits (B = 21 * F, F = 2 * 11 * 20**8), the widest
     # lanes of the graphs the tests solve
     g = gen_clique_gadget(8).graph
-    assert (g.n, all_pairs_distances(g).diameter) == (20, 10)
+    assert (g.n, diameter(g)) == (20, 10)
     variants = [Variant.MD, Variant.DIM_MS, Variant.LMD, Variant.LDIM_MS]
     naive = naive_all_dimensions(g, variants)
     for variant, want in naive.items():
@@ -398,7 +399,7 @@ def check_lane_format(g, variant, subsets):
             # no lane carried into its top bit or borrowed from the next
             assert acc & full == 0, (variant, g.edges, W)
     # the bit of full that each pair's lane or bit keeps, in pair order
-    d = all_pairs_distances(g).d
+    d = all_pairs_distances(g)
     pairs = g.edges if variant.adjacent else list(combinations(range(g.n), 2))
     bits = [b for b in range(full.bit_length()) if full >> b & 1]
     assert len(bits) == len(pairs), (variant, g.edges)
@@ -484,7 +485,7 @@ def test_resolving_sets_match_the_definitions():
 
 def test_resolving_sets_reuse_the_columns_of_dimension(monkeypatch):
     # _columns is memoized on the graph, and each build reads the distance
-    # matrix once: one build per (graph, variant)
+    # rows once: one build per (graph, variant)
     builds = []
     matrix = solver.all_pairs_distances
 
@@ -573,10 +574,10 @@ def test_longest_exhaustion_matches_naive(classes7, monkeypatch):
     for g, _ in classes7:
         r = dimension(g, Variant.LMD)
         if r.is_infinite and r.subsets_checked:
-            exhausted.append((all_pairs_distances(g).diameter, g))
+            exhausted.append((diameter(g), g))
     assert len(exhausted) == 96
-    diameter, g = max(exhausted, key=lambda entry: entry[0])
-    assert (g.n, diameter) == (7, 4)
+    longest, g = max(exhausted, key=lambda entry: entry[0])
+    assert (g.n, longest) == (7, 4)
     want = naive_all_dimensions(g, [Variant.LMD])[Variant.LMD]
     assert want.subsets_checked == 2**g.n - 1
     want = (want.value, want.witness, want.subsets_checked, want.certificate)
@@ -597,7 +598,7 @@ def test_membership_search_decides_every_class_up_to_7(classes7):
     # the walk's unsat answer adds (2^n - 1 when there are no rules)
     unsat, sat = Counter(), 0
     for g, _ in classes7:
-        if any(c.variant is Variant.LMD for c in infinite_certificates(g)):
+        if infinite_certificates(g, Variant.LMD):
             continue
         rules = solver._rules(g, Variant.LMD)[0]
         count = sum(solver._completions(g.n, rules, 0, 0, k) for k in range(1, g.n + 1))
@@ -623,7 +624,7 @@ def test_membership_search_takes_every_vertex_when_they_resolve():
     # degree 3, so the radices are 2, 4, 7 and then 10 (n - 1 caps the
     # Moore bound), F = 2 * 4 * 7 * 10**5 = 5 600 000 and L = 25
     g = Graph(10, [(i, i + 1) for i in range(8)] + [(4, 9)])
-    assert all_pairs_distances(g).diameter == 8
+    assert diameter(g) == 8
     assert is_resolving(g, tuple(range(10)), Variant.LMD)
     assert lmd_walk(g, []) == tuple(range(10))
 
@@ -850,7 +851,7 @@ def test_md_with_a_closed_twin_triple_is_infinite_without_a_search(
     monkeypatch.setattr(solver, "_columns", no_columns)
     covered = []
     for g, _ in classes7:
-        if any(c.variant is Variant.MD for c in infinite_certificates(g)):
+        if infinite_certificates(g, Variant.MD):
             continue
         if all(len(vs) < 3 for vs in twin_classes(g, True).values()):
             continue
