@@ -160,8 +160,10 @@ def is_complete(g):
 
 
 def is_path_graph(g):
-    """A connected tree (n - 1 edges) with no vertex of degree 3 or more."""
-    return len(g.edges) == g.n - 1 and max(map(len, g.adj)) <= 2 and g.is_connected()
+    """A connected tree (n - 1 edges) with no vertex of degree 3 or more. A
+    disconnected graph raises, from the memoized BFS row of vertex 0."""
+    distance_row(g, 0)
+    return len(g.edges) == g.n - 1 and max(map(len, g.adj)) <= 2
 
 
 @memoized

@@ -105,6 +105,14 @@ sum_j C(left, j) x**j, j over the counts that keep the class within its
 rule, times (1 + x)**(vertices in no class), and plain C(n - first, slots)
 when there are no rules.
 
+The budget rule is the plain loop's, which raises
+BudgetExhaustedError(budget, budget) where it would count subset
+budget + 1: a count above `subset_budget` raises. `dimension()` checks the
+count of its answer once. The search raises earlier only where it must
+stop: at a leaf, before it counts a subset past the budget, and at a
+counted cut. A count added by arithmetic anywhere else reaches the next
+leaf or cut, or that one check.
+
 Twin rules (search-only). Vertices u, v are closed twins when
 N[u] = N[v] (so they are adjacent) and open twins when N(u) = N(v) (so
 they are not). Outside their own class, twins have the same distance to
@@ -138,9 +146,8 @@ counted. A node with two or more slots left
 then checks its final lanes (below) and the K-end and twin rules together.
 A cut there removes only subsets that do not resolve: the search adds the
 subsets below it that pass the K-end rules,
-`_completions(n, rules, chosen, first, slots)`, and raises the plain
-loop's budget error (budget, budget) when the sum passes the budget, as
-the plain loop would inside that subtree. Below a node with one slot left
+`_completions(n, rules, chosen, first, slots)`, as the plain loop would
+count them inside that subtree. Below a node with one slot left
 is a single loop over leaves, which are counted either way and cost less
 to test than a cut costs to count, so those nodes skip these checks. A
 set of twin rules that no set obeys ends the search before it starts,
@@ -171,11 +178,10 @@ passes the K-end rules resolves, by a depth-first walk over i = 0..n-1
 that tries "take vertex i" before "skip it", over the level kernel's own
 columns, base, target and final lanes: once i is decided, it prunes with
 the test on final[i] and with `_feasible`, the vertices left being the
-slots. At i = n every lane has been tested. If no
-W resolves, the search adds `_completions(n, rules, 0, 0, k)` for each
-level k not yet searched, as the plain loop would count them, and raises
-(budget, budget) when the sum passes the budget; if one does, the level
-search goes on for the first witness in the plain loop's order. Most LMD
+slots. At i = n every lane has been tested. If no W resolves, the search
+adds `_completions(n, rules, 0, 0, k)` for each level k not yet searched,
+as the plain loop would count them; if one does, the level search goes on
+for the first witness in the plain loop's order. Most LMD
 values are found at level 1 or 2, where a walk is pure overhead, so it
 runs at most once, before the first level at which the level search has
 counted n*|E| subsets (wheel:15: before level 4, after 696 of 65 535).
@@ -193,8 +199,7 @@ paper's g_bound), or when n - k exceeds the number of multisets the vertices
 outside W can take (DIM_MS). The plain loop would count every subset of a
 skipped level that passes the K-end rules: the search adds
 `_completions(n, rules, 0, 0, k)` for each one to `subsets_checked` (C(n, k),
-since these variants have no K-end rules), and raises the plain
-loop's budget error when that sum passes the budget.
+since these variants have no K-end rules).
 """
 
 import math
@@ -442,7 +447,8 @@ def _first_resolving(g, variant, budget):
     """The first resolving W, by k and then lexicographically (module docstring).
 
     Returns (W, examined), W None when no subset resolves; `examined` counts
-    the subsets that pass the K-end rules.
+    the subsets that pass the K-end rules and may pass `budget`, which
+    `dimension()` checks (module docstring).
     """
     n = g.n
     limit = math.inf if budget is None else budget
@@ -454,8 +460,6 @@ def _first_resolving(g, variant, budget):
         # no subset of a level below k_min resolves
         k_min = level_lower_bound(g, variant)
     examined = sum(_completions(n, rules, 0, 0, k) for k in range(1, k_min))
-    if examined > limit:
-        raise BudgetExhaustedError(budget, budget)
     if k_min > n:
         return None, examined
 
@@ -499,7 +503,7 @@ def _first_resolving(g, variant, budget):
             if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
                 continue
             if examined >= limit:
-                raise BudgetExhaustedError(examined, budget)
+                raise BudgetExhaustedError(budget, budget)
             examined += 1
             if resolves(acc, cols[w]):
                 return prefix | 1 << w
@@ -517,8 +521,6 @@ def _first_resolving(g, variant, budget):
                 if _membership_search(rules, cols, final, base, target, low) is None:
                     # no subset resolves: count the levels left as the plain loop would
                     examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
-                    if examined > limit:
-                        raise BudgetExhaustedError(budget, budget)
                     return None, examined
             W = search(0, k, 0, base)
             if W:
@@ -528,8 +530,19 @@ def _first_resolving(g, variant, budget):
         del search  # search calls itself through this cell: break the cycle
 
 
-def _elapsed_ms(t0):
-    return int((time.perf_counter() - t0) * 1000)
+def _result(variant, n, W, examined, certificate, t0):
+    """The one constructor of DimensionResult: W None with no certificate
+    is a completed exhaustion of the plain loop."""
+    if W is None and certificate is None:
+        certificate = f"exhausted all 2^{n} - 1 subsets"
+    return DimensionResult(
+        variant=variant,
+        value=INFINITE if W is None else len(W),
+        witness=W,
+        subsets_checked=examined,
+        certificate=certificate,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    )
 
 
 def dimension(g, variant, opts=None):
@@ -544,33 +557,26 @@ def dimension(g, variant, opts=None):
     if g.n > opts.cap:
         raise CapExceededError("dimension solver", g.n, opts.cap)
     t0 = time.perf_counter()
-    W, examined, certificate = None, 0, None
+    certificate = None
     if variant.adjacent and bipartition(g) is not None:
         # {0}, the plain loop's first subset, resolves (module docstring)
-        if budget == 0:
-            raise BudgetExhaustedError(0, 0)
         W, examined = (0,), 1
-    elif not variant.always_finite:
-        certificate = next(
+    elif not variant.always_finite and (
+        certificate := next(
             (f"{c.kind}: {c.description}" for c in infinite_certificates(g, variant)), None
         )
-    if W is None and certificate is None:
+    ):
+        W, examined = None, 0
+    else:
         W, examined = _first_resolving(g, variant, budget)
-        if W is None:
-            if variant.always_finite:
-                raise RuntimeError(
-                    f"internal error: {variant.name} found no resolving set among"
-                    f" all 2^{g.n} - 1 subsets, but it is always finite"
-                )
-            certificate = f"exhausted all 2^{g.n} - 1 subsets"
-    return DimensionResult(
-        variant=variant,
-        value=INFINITE if W is None else len(W),
-        witness=W,
-        subsets_checked=examined,
-        certificate=certificate,
-        elapsed_ms=_elapsed_ms(t0),
-    )
+    if budget is not None and examined > budget:  # the budget rule (module docstring)
+        raise BudgetExhaustedError(budget, budget)
+    if W is None and certificate is None and variant.always_finite:
+        raise RuntimeError(
+            f"internal error: {variant.name} found no resolving set among"
+            f" all 2^{g.n} - 1 subsets, but it is always finite"
+        )
+    return _result(variant, g.n, W, examined, certificate, t0)
 
 
 def resolving_sets(g, variant, k):
@@ -605,7 +611,7 @@ def naive_all_dimensions(g, variants=None):
         variants = list(Variant)
     n = g.n
     pending = set(variants)
-    settled = {}  # variant -> (W, examined, elapsed_ms) when found
+    settled = {}  # variant -> (W, examined) when found
     examined = 0
     for k in range(1, n + 1):
         if not pending:
@@ -619,23 +625,13 @@ def naive_all_dimensions(g, variants=None):
                     keys_by_kind[variant.kind] = vertex_keys(rows, variant.kind)
                 keys = keys_by_kind[variant.kind]
                 if all(keys[u] != keys[v] for u, v in scope_pairs(g, W, variant)):
-                    settled[variant] = (W, examined, _elapsed_ms(t0))
+                    settled[variant] = W, examined
                     pending.discard(variant)
             if not pending:
                 break
-    exhausted = (None, examined, _elapsed_ms(t0))
-    results = {}
-    for variant in variants:
-        W, count, ms = settled.get(variant, exhausted)
-        results[variant] = DimensionResult(
-            variant=variant,
-            value=INFINITE if W is None else len(W),
-            witness=W,
-            subsets_checked=count,
-            certificate=f"exhausted all 2^{n} - 1 subsets" if W is None else None,
-            elapsed_ms=ms,
-        )
-    return results
+    return {
+        v: _result(v, n, *settled.get(v, (None, examined)), None, t0) for v in variants
+    }
 
 
 def certify(g, W, variant):

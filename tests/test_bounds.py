@@ -58,6 +58,10 @@ def test_is_path_graph():
     assert is_path_graph(gen_path(7))
     assert not is_path_graph(gen_cycle(4))
     assert not is_path_graph(gen_star(3))
+    # a triangle and an isolated vertex has n - 1 edges and degrees <= 2; it
+    # raises, from the memoized BFS row of vertex 0, as the rest of bounds does
+    with pytest.raises(DisconnectedGraphError):
+        is_path_graph(Graph(4, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_infinite_certificates_exclude_paths():

@@ -5,8 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from multires import verify
+from multires.cli import main
 from multires.errors import CapExceededError, GraphValidationError, NoClosedFormError
 from multires.generators import FamilySpec, gen, parse_family_spec
+from multires.graph import to_graph6
 from multires.multisets import Variant
 from multires.solver import INFINITE, certify, dimension, naive_all_dimensions
 from multires.verify import (
@@ -256,6 +258,49 @@ def test_corpus_backed_theorems_pass():
     ):
         check = run_theorem(tid, n_max=5)
         assert check.passed, check.to_json_dict()
+
+
+# clause -> (class in graph6, variant, wrong value, whether the value is the
+# 2-core's): the oracle's one wrong answer that the clause must report.
+# A_ is K2, Bw is K3 (the 2-core of the paw), Cr is C4 and Cs is K1,3.
+WRONG_ANSWERS = {
+    "observation_chain": ("A_", Variant.LDIM, 0, False),
+    "bipartite_iff_1": ("Cr", Variant.LMD, 2, False),
+    "infmd_diam": ("Bw", Variant.MD, 2, False),
+    "infmd_triple": ("Cs", Variant.MD, 3, False),
+    "certificate_confirmed": ("Bw", Variant.LMD, 2, False),
+    "dms_extremal": ("Bw", Variant.DIM_MS, 1, False),
+    "lower_bound_le_exact": ("Bw", Variant.LDIM_MS, 0, False),
+    "counting_bound_le_exact": ("Bw", Variant.DIM, 0, False),
+    "upper_bound_ge_exact": ("Bw", Variant.LDIM_MS, 3, False),
+    "maxsubgraph_le": ("Bw", Variant.LDIM_MS, 0, True),
+}
+
+
+@pytest.mark.parametrize(
+    "clause", [c for clauses in verify.CORPUS_CLAUSES.values() for c in clauses]
+)
+def test_corpus_reports_a_wrong_answer(clause, monkeypatch, capsys):
+    target, variant, value, core = WRONG_ANSWERS[clause]
+    oracle = verify.naive_all_dimensions
+
+    def wrong(g, variants=None):
+        results = oracle(g, variants)
+        # _examine_graph passes variants only for the 2-core
+        if to_graph6(g) == target and (variants is not None) == core:
+            results[variant] = results[variant]._replace(value=value)
+        return results
+
+    monkeypatch.setattr(verify, "_CORPUS_CACHE", {})  # examine the classes anew
+    monkeypatch.setattr(verify, "naive_all_dimensions", wrong)
+    _, failures = corpus_scan(4)
+    assert clause in {c for c, _ in failures}
+    theorem = next(t for t, cs in verify.CORPUS_CLAUSES.items() if clause in cs)
+    [row] = run_theorem(theorem, n_max=4).instances
+    assert row.ok is False
+    assert f"{clause}: " in row.note
+    assert main(["verify", "--theorem", theorem, "--n-max", "4"]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_theorem_registry_is_complete():
