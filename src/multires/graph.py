@@ -13,13 +13,12 @@ K-end groups and the solver's twin rules), and `maximal_cliques` serves
 only `clique_number`. `distance_row` builds one BFS row per vertex when it
 is first asked for; `all_pairs_distances` is the tuple of all the rows, and
 `diameter(g)` their largest entry. A call that needs the distances from a
-few landmarks builds only their rows;
-`within_two_hops` decides "diameter <= 2" with no BFS at all, by the Moore
-bound on a two-hop ball and then closed-neighbourhood bitmasks. `_bfs` is
-the one breadth-first search. `bipartition` and `Graph.check_connected`,
-which every parser calls, read the memoized row of vertex 0, so a parsed
-graph runs that BFS once. Only `Graph.is_connected`, which `all_connected`
-calls on every mask, runs its own BFS and memoizes nothing.
+few landmarks builds only their rows. `within_two_hops` decides whether
+the diameter is at most 2 with no BFS, by the Moore bound on a two-hop
+ball and then closed-neighbourhood bitmasks. `_bfs` is the one
+breadth-first search. Every connectivity check reads the memoized row of
+vertex 0, which raises DisconnectedGraphError for 0 and the first vertex
+it cannot reach, so a parsed graph runs that BFS once.
 """
 
 from collections import deque
@@ -70,27 +69,12 @@ class Graph:
         return len(self.adj[u])
 
     def is_connected(self):
-        return -1 not in _bfs(self, 0)
-
-    def check_connected(self):
-        """Raise DisconnectedGraphError for 0 and the first vertex it cannot
-        reach; a connected graph keeps the BFS row of 0 in the distance memo."""
-        distance_row(self, 0)
-
-    def induced(self, vertices):
-        """Induced subgraph on `vertices`, relabeled 0..len(vertices)-1.
-
-        Returns (subgraph, mapping) where mapping[i] is the original label of
-        the subgraph vertex i. `vertices` is taken in sorted order.
-        """
-        keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(keep), edges), tuple(keep)
+        """Whether vertex 0 reaches every vertex, read off distance_row(self, 0)."""
+        try:
+            distance_row(self, 0)
+        except DisconnectedGraphError:
+            return False
+        return True
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -154,7 +138,7 @@ def parse_edge_list(text):
         reached = {v for v, d in zip(ids, dist) if d >= 0}
         raise DisconnectedGraphError(0, next(v for v in range(max_id + 1) if v not in reached))
     g = Graph(max_id + 1, edges)
-    g.check_connected()
+    distance_row(g, 0)
     return g
 
 
@@ -190,7 +174,7 @@ def parse_graph6(text):
         if bit == "1"
     ]
     g = Graph(n, edges)
-    g.check_connected()
+    distance_row(g, 0)
     return g
 
 
@@ -358,27 +342,25 @@ def _colourable(adj, order, colors, k, pos=0, used=0):
 def two_core(g):
     """Iteratively strip degree-1 vertices; the maximal leafless subgraph.
 
-    Returns (subgraph, kept_vertices). Raises NoLeaflessSubgraphError when g
-    is a tree.
+    Returns (subgraph, kept_vertices), where subgraph vertex i is the kept
+    vertex kept_vertices[i]. Raises NoLeaflessSubgraphError when g is a tree.
     """
     degree = [g.degree(u) for u in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(u for u in range(g.n) if degree[u] <= 1)
+    alive = [d > 1 for d in degree]  # a vertex dies when it is queued
+    queue = deque(u for u in range(g.n) if not alive[u])
     while queue:
-        u = queue.popleft()
-        if not alive[u]:
-            continue
-        alive[u] = False
-        for v in g.adj[u]:
+        for v in g.adj[queue.popleft()]:
             if alive[v]:
                 degree[v] -= 1
                 if degree[v] <= 1:
+                    alive[v] = False
                     queue.append(v)
     kept = [u for u in range(g.n) if alive[u]]
     if not kept:
         raise NoLeaflessSubgraphError()
-    sub, mapping = g.induced(kept)
-    return sub, mapping
+    index = {u: i for i, u in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in g.edges if alive[u] and alive[v]]
+    return Graph(len(kept), edges), tuple(kept)
 
 
 @memoized

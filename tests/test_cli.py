@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import multires
+from multires import verify
 from multires.cli import main
 from multires.graph import parse_graph6
+from multires.solver import INFINITE
 
 
 def run(capsys, *argv):
@@ -98,6 +100,22 @@ def test_compute_non_utf8_input_is_input_error(capsys, tmp_path, fmt):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("fmt", ["edges", "graph6"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_may_start_with_a_byte_order_mark(capsys, monkeypatch, tmp_path, fmt, source):
+    # K_3 in each format, as a Windows editor saves it
+    text = "\ufeff" + {"edges": "0 1\n1 2\n2 0\n", "graph6": "Bw\n"}[fmt]
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    source = [str(path)] if source == "file" else []
+    code, out, err = run(
+        capsys, "compute", *source, "--format", fmt, "--variant", "dim", "--output", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 3
+
+
 @pytest.mark.parametrize("text", ["", " \n\n"])
 def test_compute_empty_graph6_stdin_is_input_error(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -171,6 +189,18 @@ def test_verify_reports_failure_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "wheel_lemma_1or3")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_table_shows_infinity_as_json_does(capsys, monkeypatch):
+    closed_form = verify.closed_form
+
+    def wrong(spec, variant):
+        return INFINITE if str(spec) == "cycle:4" else closed_form(spec, variant)
+
+    monkeypatch.setattr(verify, "closed_form", wrong)
+    code, out, _ = run(capsys, "verify", "--theorem", "cycles")
+    assert code == 3
+    assert "expected infinity" in out and "inf," not in out
 
 
 def test_enumerate(capsys):

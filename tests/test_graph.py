@@ -90,7 +90,7 @@ def test_too_few_edges_give_the_witness_of_the_whole_graph(text):
     # read off the ids in use is the one the full graph's BFS gives
     edges = [tuple(map(int, line.split())) for line in text.splitlines()]
     with pytest.raises(DisconnectedGraphError) as full:
-        Graph(max(map(max, edges)) + 1, edges).check_connected()
+        distance_row(Graph(max(map(max, edges)) + 1, edges), 0)
     with pytest.raises(DisconnectedGraphError) as parsed:
         parse_edge_list(text)
     assert (parsed.value.u, parsed.value.v) == (full.value.u, full.value.v)
@@ -220,6 +220,10 @@ def test_two_core_strips_pendants():
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     core, kept = two_core(g)
     assert kept == (0, 1, 2)
+    assert core == gen_cycle(3)
+    # a core that is not a prefix of the labels is relabelled 0, 1, 2
+    core, kept = two_core(Graph(5, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)]))
+    assert kept == (1, 2, 3)
     assert core == gen_cycle(3)
     with pytest.raises(NoLeaflessSubgraphError):
         two_core(gen_path(4))

@@ -300,7 +300,9 @@ def test_corpus_reports_a_wrong_answer(clause, monkeypatch, capsys):
     assert row.ok is False
     assert f"{clause}: " in row.note
     assert main(["verify", "--theorem", theorem, "--n-max", "4"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert f"{clause}: " in out  # the table prints the failure's note
 
 
 def test_theorem_registry_is_complete():
