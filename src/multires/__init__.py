@@ -10,7 +10,6 @@ from .bounds import (
     BoundReport,
     InfiniteCertificate,
     clique_log_bound,
-    dms_extremal_check,
     g_bound,
     infinite_certificates,
     lower_bounds,
@@ -104,7 +103,6 @@ __all__ = [
     "diameter",
     "dimension",
     "distance_row",
-    "dms_extremal_check",
     "g_bound",
     "gen",
     "gen_clique_gadget",

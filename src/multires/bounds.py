@@ -36,13 +36,11 @@ class InfiniteCertificate(namedtuple("InfiniteCertificate", "variant kind witnes
     __slots__ = ()
 
 
-class BoundReport(
-    namedtuple("BoundReport", "n lower lower_candidates upper certificates skipped")
-):
-    """lower maps each Variant to its best Bound, lower_candidates to the
-    tuple of all applicable Bounds, upper to an int (max(1, n-1) for the
-    outer variants). certificates is a tuple of InfiniteCertificates, skipped
-    a tuple of human-readable notes for the bounds skipped by caps.
+class BoundReport(namedtuple("BoundReport", "n lower upper certificates skipped")):
+    """lower maps each Variant to the best of its applicable Bounds, upper to
+    an int (max(1, n-1) for the outer variants). certificates is a tuple of
+    InfiniteCertificates, skipped a tuple of human-readable notes for the
+    bounds skipped by caps.
     """
 
     __slots__ = ()
@@ -263,25 +261,8 @@ def lower_bounds(g):
     return BoundReport(
         n=g.n,
         lower=lower,
-        lower_candidates={
-            Variant.LMD: tuple(candidates),
-            Variant.LDIM_MS: tuple(candidates),
-        },
         upper={Variant.DIM_MS: upper, Variant.LDIM_MS: upper},
         certificates=certificates,
         skipped=tuple(skipped),
     )
 
-
-def is_regular(g):
-    degs = {g.degree(u) for u in range(g.n)}
-    return len(degs) == 1
-
-
-def dms_extremal_check(g, solved):
-    """Check dim_ms = n-1 <=> regular with diameter <= 2 (both directions)."""
-    if solved.variant is not Variant.DIM_MS:
-        raise ValueError("dms_extremal_check needs the exact DIM_MS result")
-    extremal = solved.value == g.n - 1
-    structural = is_regular(g) and diameter(g) <= 2
-    return extremal == structural

@@ -41,11 +41,10 @@ class CapExceededError(MultiresError):
 class BudgetExhaustedError(MultiresError):
     """Subset budget ran out before a conclusive answer; never a wrong answer."""
 
-    def __init__(self, examined, budget):
+    def __init__(self, budget):
         super().__init__(
-            f"inconclusive: subset budget exhausted ({examined} of {budget} allowed)"
+            f"inconclusive: subset budget exhausted ({budget} of {budget} allowed)"
         )
-        self.examined = examined
         self.budget = budget
 
 

@@ -20,8 +20,8 @@ reproducible:
 from collections import namedtuple
 from itertools import combinations, product
 
-from .errors import CapExceededError, GraphValidationError
-from .graph import Graph
+from .errors import CapExceededError, DisconnectedGraphError, GraphValidationError
+from .graph import Graph, distance_row
 
 ALL_CONNECTED_CAP = 7
 CORPUS_CAP = 8  # 11 117 classes on 8 vertices, 261 080 on 9
@@ -275,8 +275,11 @@ def all_connected(n):
     npairs = n * (n - 1) // 2
     for mask in range(1 << npairs):
         g = graph_from_mask(n, mask)
-        if g.is_connected():
-            yield g
+        try:
+            distance_row(g, 0)
+        except DisconnectedGraphError:
+            continue
+        yield g
 
 
 def _refine(nbrs, colours):

@@ -68,14 +68,6 @@ class Graph:
     def degree(self, u):
         return len(self.adj[u])
 
-    def is_connected(self):
-        """Whether vertex 0 reaches every vertex, read off distance_row(self, 0)."""
-        try:
-            distance_row(self, 0)
-        except DisconnectedGraphError:
-            return False
-        return True
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -143,8 +135,11 @@ def parse_edge_list(text):
 
 
 def parse_graph6(text):
-    """Decode one graph6 line (standard printable 63-offset encoding)."""
+    """Decode a one-line graph6 text (standard printable 63-offset encoding)."""
     line = text.strip()
+    lines = len(line.splitlines())
+    if lines > 1:
+        raise GraphParseError(f"graph6 input holds {lines} lines; expected one graph")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:

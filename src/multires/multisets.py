@@ -69,9 +69,9 @@ def scope_pairs(g, W, variant):
 def _check_W(g, W):
     if not W:
         raise GraphValidationError("resolving-set candidate must be non-empty")
-    for w in W:
-        if not (0 <= w < g.n):
-            raise GraphValidationError(f"vertex {w} out of range")
+    bad = [w for w in W if not 0 <= w < g.n]
+    if bad:
+        raise GraphValidationError(f"witness vertices {bad} out of range for n={g.n}")
 
 
 def is_resolving(g, W, variant):

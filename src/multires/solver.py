@@ -105,9 +105,9 @@ sum_j C(left, j) x**j, j over the counts that keep the class within its
 rule, times (1 + x)**(vertices in no class), and plain C(n - first, slots)
 when there are no rules.
 
-The budget rule is the plain loop's, which raises
-BudgetExhaustedError(budget, budget) where it would count subset
-budget + 1: a count above `subset_budget` raises. `dimension()` checks the
+The budget rule is the plain loop's, which raises BudgetExhaustedError(budget)
+where it would count subset budget + 1: a count above `subset_budget` raises,
+and the count the loop had reached is the budget. `dimension()` checks the
 count of its answer once. The search raises earlier only where it must
 stop: at a leaf, before it counts a subset past the budget, and at a
 counted cut. A count added by arithmetic anywhere else reaches the next
@@ -493,7 +493,7 @@ def _first_resolving(g, variant, budget):
                     # nothing below resolves: count what the plain loop would
                     examined += _completions(n, rules, chosen, w + 1, depth - 1)
                     if examined > limit:
-                        raise BudgetExhaustedError(budget, budget)
+                        raise BudgetExhaustedError(budget)
                     continue
                 found = search(w + 1, depth - 1, chosen, acc_)
                 if found:
@@ -503,7 +503,7 @@ def _first_resolving(g, variant, budget):
             if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
                 continue
             if examined >= limit:
-                raise BudgetExhaustedError(budget, budget)
+                raise BudgetExhaustedError(budget)
             examined += 1
             if resolves(acc, cols[w]):
                 return prefix | 1 << w
@@ -570,7 +570,7 @@ def dimension(g, variant, opts=None):
     else:
         W, examined = _first_resolving(g, variant, budget)
     if budget is not None and examined > budget:  # the budget rule (module docstring)
-        raise BudgetExhaustedError(budget, budget)
+        raise BudgetExhaustedError(budget)
     if W is None and certificate is None and variant.always_finite:
         raise RuntimeError(
             f"internal error: {variant.name} found no resolving set among"

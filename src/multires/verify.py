@@ -12,7 +12,7 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .bounds import (
-    dms_extremal_check,
+    clique_log_bound,
     g_bound,
     is_path_graph,
     level_lower_bound,
@@ -198,7 +198,7 @@ def closed_form(spec, variant):
     elif tag == "gadget":
         n = spec.numbers[0]
         if variant in (Variant.LMD, Variant.LDIM_MS):
-            return max(1, (n - 1).bit_length())
+            return max(1, clique_log_bound(n))  # omega(gadget:n) = n
     raise NoClosedFormError(f"no closed form for ({spec}, {variant.name})")
 
 
@@ -402,7 +402,7 @@ def check_clique_gadget():
     for n in (2, 3, 4, 5, 6, 8):
         gadget = gen_clique_gadget(n)
         g = gadget.graph
-        target = max(1, (n - 1).bit_length())
+        target = closed_form(FamilySpec("gadget", (n,)), Variant.LMD)
         yield f"gadget:{n}", "omega", n, clique_number(g)
         cert_lmd = certify(g, gadget.landmarks, Variant.LMD)
         cert_out = certify(g, gadget.landmarks, Variant.LDIM_MS)
@@ -487,7 +487,8 @@ def _examine_graph(g):
         if val[cert.variant] != INFINITE:
             yield "certificate_confirmed", f"{desc} {cert.kind}"
 
-    if n >= 2 and not dms_extremal_check(g, results[Variant.DIM_MS]):
+    regular = len(set(map(len, g.adj))) == 1
+    if n >= 2 and (val[Variant.DIM_MS] == n - 1) != (regular and diameter(g) <= 2):
         yield "dms_extremal", desc
 
     for variant in (Variant.LMD, Variant.LDIM_MS):

@@ -69,11 +69,13 @@ def test_compute_json_all_variants(capsys):
     assert by_name["ldim_ms"]["value"] == 3
 
 
-def test_compute_reads_stdin(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("0 1\n1 2\n2 0\n")
+@pytest.mark.parametrize(
+    "source", [pytest.param([], id="omitted"), pytest.param(["-"], id="dash")]
+)
+def test_compute_reads_stdin(capsys, monkeypatch, source):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 0\n"))
     code, out, _ = run(
-        capsys, "compute", str(path), "--variant", "ldim_ms", "--output", "json"
+        capsys, "compute", *source, "--variant", "ldim_ms", "--output", "json"
     )
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 2
@@ -125,6 +127,24 @@ def test_compute_empty_graph6_stdin_is_input_error(capsys, monkeypatch, text):
     assert "empty graph6 input" in err
 
 
+def test_compute_rejects_graph6_of_several_graphs(capsys, monkeypatch):
+    # what `multires enumerate 3` writes: four graphs, one per line
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bo\nBg\nBW\nBw\n"))
+    code, out, err = run(capsys, "compute", "--format", "graph6")
+    assert (code, out) == (1, "")
+    assert "graph6 input holds 4 lines" in err
+
+
+@pytest.mark.parametrize("source", ["file", "-"])
+def test_a_graph_file_with_gen_is_input_error(capsys, tmp_path, source):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n")
+    source = str(path) if source == "file" else source
+    code, out, err = run(capsys, "compute", source, "--gen", "wheel:4")
+    assert (code, out) == (1, "")
+    assert "not both" in err
+
+
 def test_certify_valid_and_invalid(capsys):
     code, out, _ = run(
         capsys, "certify", "--gen", "cycle:5",
@@ -146,7 +166,7 @@ def test_certify_rejects_bad_witness(capsys):
         "--variant", "lmd", "--witness", "0,9",
     )
     assert code == 1
-    assert "out of range" in err
+    assert err == "error: witness vertices [9] out of range for n=5\n"
     code, _, err = run(
         capsys, "certify", "--gen", "cycle:5",
         "--variant", "lmd", "--witness", "0,x",

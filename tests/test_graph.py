@@ -122,6 +122,9 @@ def test_graph6_known_values():
 
 def test_graph6_header_and_errors():
     assert parse_graph6(">>graph6<<A_").n == 2
+    assert parse_graph6("Bw\r\n").n == 3
+    with pytest.raises(GraphParseError, match="holds 2 lines"):
+        parse_graph6("Bw\nBw")  # two graphs are not one
     with pytest.raises(GraphParseError):
         parse_graph6("")
     with pytest.raises(GraphParseError):

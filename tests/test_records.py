@@ -36,11 +36,10 @@ RECORDS = [
     ),
     (
         BoundReport,
-        ("n", "lower", "lower_candidates", "upper", "certificates", "skipped"),
+        ("n", "lower", "upper", "certificates", "skipped"),
         (
             4,
             {Variant.MD: Bound(1, "trivial_1")},
-            {Variant.MD: (Bound(1, "trivial_1"),)},
             {Variant.MD: 3},
             (),
             ("chromatic_gdchi skipped",),
