@@ -149,8 +149,8 @@ def _distinct_counts(degrees, k):
 
 
 def clique_log_bound(omega):
-    """ceil(log2 omega), computed exactly."""
-    return (omega - 1).bit_length()
+    """max(1, ceil(log2 omega)), computed exactly: every graph needs a landmark."""
+    return max(1, (omega - 1).bit_length())
 
 
 def is_complete(g):
@@ -245,7 +245,7 @@ def lower_bounds(g):
         candidates.append(Bound(2, "nonbipartite_2"))
     if g.n <= OMEGA_CAP:
         certificates += infinite_certificates(g, Variant.LMD)
-        candidates.append(Bound(max(1, clique_log_bound(clique_number(g))), "clique_log"))
+        candidates.append(Bound(clique_log_bound(clique_number(g)), "clique_log"))
     else:
         skipped.append(f"clique_log: n={g.n} exceeds omega cap {OMEGA_CAP}")
         skipped.append(f"triple_k_end: n={g.n} exceeds omega cap {OMEGA_CAP}")

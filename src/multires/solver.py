@@ -164,7 +164,15 @@ pair in final[w] that acc, base plus the sum (or the OR) of the columns
 chosen, leaves unresolved stays so in every completion.
 ((acc ^ target) - low) & final[w] != final[w] finds one, exactly, at every
 level and in any lane order: with every top bit set first, subtracting low
-borrows nowhere, and a bit that no later column sets stays clear.
+borrows nowhere, and a bit that no later column sets stays clear. A node
+with at most two slots left also ends its own loop: if acc leaves 0 a lane
+of final[w - 1], which no column from w on moves, no child or leaf from w
+on resolves, and since final[w - 1] grows with w the first such w ends the
+loop. `_completions(n, rules, prefix, w, slots)` counts the rest. Deeper
+nodes test each child's final[w] already, and there this test cost more
+than it saved (wheel:14 and wheel:15 DIM_MS 8-10% slower); with K-end
+rules one `_completions` costs more than the leaves it replaces (the corona
+theorem 7% slower). So it runs only with no K-end rules, once final exists.
 
 All resolving sets. `resolving_sets(g, variant, k)` lists every resolving
 k-set in lexicographic order by the same lane test on base plus (for
@@ -480,8 +488,16 @@ def _first_resolving(g, variant, budget):
     def search(first, depth, prefix, acc):
         # prefix: the bitmask of the landmarks chosen so far
         nonlocal examined
+        # with at most two slots left, the loop ends at the first w where z,
+        # whose top bits (or bits) are acc's lanes that are not 0, lacks a
+        # bit of final[w - 1] (module docstring); a root's w = 0 has none
+        z = None
+        if depth <= 2 and prefix and not rules and final is not None:
+            z = (acc ^ target) - low
         if depth > 1:
             for w in range(first, n - depth + 1):
+                if z is not None and z & final[w - 1] != final[w - 1]:
+                    break
                 chosen = prefix | 1 << w
                 if rules and not _feasible(rules, chosen, w + 1, depth - 1):
                     continue
@@ -498,15 +514,25 @@ def _first_resolving(g, variant, budget):
                 found = search(w + 1, depth - 1, chosen, acc_)
                 if found:
                     return found
-            return None
-        for w in range(first, n):
-            if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
-                continue
-            if examined >= limit:
-                raise BudgetExhaustedError(budget)
-            examined += 1
-            if resolves(acc, cols[w]):
-                return prefix | 1 << w
+            else:
+                return None
+        else:
+            for w in range(first, n):
+                if z is not None and z & final[w - 1] != final[w - 1]:
+                    break
+                if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
+                    continue
+                if examined >= limit:
+                    raise BudgetExhaustedError(budget)
+                examined += 1
+                if resolves(acc, cols[w]):
+                    return prefix | 1 << w
+            else:
+                return None
+        # nothing from w on resolves: count it as the plain loop would
+        examined += _completions(n, rules, prefix, w, depth)
+        if examined > limit:
+            raise BudgetExhaustedError(budget)
         return None
 
     probe = variant is Variant.LMD

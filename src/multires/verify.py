@@ -198,7 +198,7 @@ def closed_form(spec, variant):
     elif tag == "gadget":
         n = spec.numbers[0]
         if variant in (Variant.LMD, Variant.LDIM_MS):
-            return max(1, clique_log_bound(n))  # omega(gadget:n) = n
+            return clique_log_bound(n)  # omega(gadget:n) = n
     raise NoClosedFormError(f"no closed form for ({spec}, {variant.name})")
 
 

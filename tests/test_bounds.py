@@ -47,7 +47,7 @@ def test_g_bound_definition():
 
 
 def test_clique_log_bound():
-    assert [clique_log_bound(w) for w in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
+    assert [clique_log_bound(w) for w in (1, 2, 3, 4, 5, 8, 9)] == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_is_path_graph():

@@ -139,10 +139,15 @@ def test_budget_is_conclusive_or_raises():
         (gen_cycle(6), Variant.LDIM),
         (gen_cycle(6), Variant.LMD),
         (gen_cycle(6), Variant.LDIM_MS),
+        # both count loop tails by arithmetic before they reach the witness:
+        # 7 452 and 1 164 subsets
+        (gen_wheel(15), Variant.DIM),
+        (gen(parse_family_spec("gadget:8")), Variant.MD),
     ],
     ids=[
         "finite", "exhausted", "outer", "exhausted_in_a_twin_cut",
         "bipartite_ldim", "bipartite_lmd", "bipartite_ldim_ms",
+        "loop_tails_dim", "loop_tails_md",
     ],
 )
 def test_budget_boundary(g, variant):
@@ -803,11 +808,30 @@ def test_budget_around_a_twin_cut(variant, monkeypatch):
     assert calls == [((0, 0, 1), 15), ((1, 1, 2), 91)]
 
 
+def test_a_loop_tail_is_counted_by_arithmetic(monkeypatch):
+    # wheel:15 DIM: a node with at most two slots left ends its loop at the
+    # first landmark from which no later column moves a lane its prefix
+    # leaves 0, and counts the rest of the loop in one _completions call
+    # that starts past the position after the prefix's last landmark
+    calls = []
+    completions = solver._completions
+
+    def recording(n, rules, chosen, first, slots):
+        calls.append((chosen, first, slots))
+        return completions(n, rules, chosen, first, slots)
+
+    monkeypatch.setattr(solver, "_completions", recording)
+    r = dimension(gen_wheel(15), Variant.DIM)
+    assert (r.value, r.witness, r.subsets_checked) == (6, (0, 1, 4, 6, 9, 11), 7452)
+    tails = sum(slots <= 2 and first > chosen.bit_length() for chosen, first, slots in calls)
+    assert (len(calls), tails) == (418, 243)
+
+
 def test_what_is_counted_by_arithmetic_never_resolves(classes7, monkeypatch):
     # every subset that dimension() counts without testing it, in a skipped
-    # level, under a twin or final-lane cut, or in the walk's unsat count, is
-    # one of the subsets a _completions call counts; by the definitions in
-    # multisets, not by the kernel, none of them resolves
+    # level, under a twin or final-lane cut, in a loop tail or in the walk's
+    # unsat count, is one of the subsets a _completions call counts; by the
+    # definitions in multisets, not by the kernel, none of them resolves
     calls = []
     completions = solver._completions
 
@@ -829,12 +853,12 @@ def test_what_is_counted_by_arithmetic_never_resolves(classes7, monkeypatch):
                     tested[variant.name] += 1
     # subsets counted untested; most lie in levels that level_lower_bound skips
     assert dict(tested) == {
-        "DIM": 17534,
-        "LDIM": 1015,
-        "MD": 8429,
-        "DIM_MS": 19630,
-        "LMD": 5853,
-        "LDIM_MS": 536,
+        "DIM": 19407,
+        "LDIM": 1731,
+        "MD": 18019,
+        "DIM_MS": 25341,
+        "LMD": 8682,
+        "LDIM_MS": 1243,
     }
 
 
