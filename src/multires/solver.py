@@ -6,12 +6,13 @@ plain loop over the subsets of each cardinality k = 1..n, lexicographic
 within each k, that skips the subsets a K-end rule (below) excludes and
 returns the first subset that resolves; this makes witnesses
 deterministic. `subsets_checked` and the subset budget count the subsets
-that pass the K-end rules, in that order. The search visits only what it
-needs to give that answer and counts the rest by arithmetic: it skips the
-levels that a counting bound rules out, cuts a prefix as soon as the
-K-end rules or the twin rules can no longer be met or a pair that no later
-landmark can tell apart is unresolved, and decides an infinite LMD value
-by a membership walk instead of visiting all 2^n - 1 subsets.
+that pass the K-end rules, in that order. The search only looks for the
+first resolving set of each level, and the count is arithmetic on its
+answer. It skips the levels that a counting bound rules out, cuts a prefix
+as soon as the K-end rules or the twin rules can no longer be met or a pair
+that no later landmark can tell apart is unresolved, and decides an
+infinite LMD value by a membership walk instead of visiting all 2^n - 1
+subsets.
 
 K-end rules (LMD and LDIM_MS). The K-end vertices of a clique K, the u with
 N[u] = K, are closed twins (`graph.k_end_groups`), so no landmark outside
@@ -85,40 +86,43 @@ least 1, so subtracting low borrows nowhere, and lane i keeps its top bit
 iff z_i >= 1. For the vector kinds `_columns` returns the bitmask columns
 with base, target and low 0.
 
-The order and the budget count are those of the plain loop, so witnesses
-and `subsets_checked` are the same. A rule (mask, at_least, at_most) bounds
-the count of W's vertices in the vertex set `mask`, and one check,
-`_feasible(rules, chosen, first, slots)`, runs at every node of the search:
-can `chosen` grow by `slots` more vertices from first..n-1 into a set W
-with at_least <= |W & mask| <= at_most for every rule? It answers no when
-a rule's count already exceeds at_most, when a rule's shortfall below
+A rule (mask, at_least, at_most) bounds the count of W's vertices in the
+vertex set `mask`. `_feasible(rules, chosen, first, slots)` asks: can
+`chosen` grow by `slots` more vertices from first..n-1 into a set W with
+at_least <= |W & mask| <= at_most for every rule? It answers no when a
+rule's count already exceeds at_most, when a rule's shortfall below
 at_least exceeds the vertices of its class left at or after `first`, or
 when the shortfalls together exceed `slots`. Each condition is necessary
 because the classes are disjoint (each is a class of twins, below), so one
 more vertex lowers at most one shortfall by one. At a leaf, slots is 0 and
-the check is exactly the plain loop's filter; a cut prefix leads only to
-leaves the plain loop rejects and never counts, so pruning moves no count.
+the check is exactly the plain loop's filter.
 `_completions(n, rules, chosen, first, slots)` counts the leaves below a
 node that pass the rules: with the classes disjoint, it is the coefficient
 of x**slots in a product of per-class binomial polynomials
 sum_j C(left, j) x**j, j over the counts that keep the class within its
-rule, times (1 + x)**(vertices in no class), and plain C(n - first, slots)
-when there are no rules.
+rule, times (1 + x)**(vertices in no class), plain C(n - first, slots)
+with no rules, and 0 with no product where `_feasible` says no.
 
-The budget rule is the plain loop's, which raises BudgetExhaustedError(budget)
-where it would count subset budget + 1: a count above `subset_budget` raises,
-and the count the loop had reached is the budget. `dimension()` checks the
-count of its answer once. The search raises earlier only where it must
-stop: at a leaf, before it counts a subset past the budget, and at a
-counted cut. A count added by arithmetic anywhere else reaches the next
-leaf or cut, or that one check.
+The search counts nothing. A level with no resolving set, skipped or
+refuted, adds every k-set that passes the K-end rules,
+`_completions(n, rules, 0, 0, k)`, worked out once the level is refuted.
+The answer level adds its witness W's rank among those sets: 1 plus, for
+each i, the sets that share W's landmarks below W[i] and take next an s
+with W[i - 1] < s < W[i]. Every set so counted comes before W, and none
+resolves. The budget rule is the plain loop's, which raises
+BudgetExhaustedError(budget) where it would count subset budget + 1: a
+count above `subset_budget` raises, and the count the loop had reached is
+the budget. `dimension()` checks the count of its answer once. To bound
+the work, each level's count is checked as it is added, and with a budget
+set the root of a level sums its passed children's counts and raises
+before the next child with counted sets once they use up the budget.
 
-Twin rules (search-only). Vertices u, v are closed twins when
-N[u] = N[v] (so they are adjacent) and open twins when N(u) = N(v) (so
-they are not). Outside their own class, twins have the same distance to
-every vertex, so a landmark set that holds neither u nor v gives them the
-same vector and the same multiset. `_rules(g, variant)` states what
-follows, one rule (mask, at_least, at_most) per class of t twins:
+Twin rules. Vertices u, v are closed twins when N[u] = N[v] (so they are
+adjacent) and open twins when N(u) = N(v) (so they are not). Outside
+their own class, twins have the same distance to every vertex, so a
+landmark set that holds neither u nor v gives them the same vector and the
+same multiset. `_rules(g, variant)` states what follows, one rule
+(mask, at_least, at_most) per class of t twins:
 - closed twins, all six variants: every scope compares u and v while both
   are outside W (they are an edge, and a pair of the all and outer
   scopes), so W holds all but one of the class: at least t - 1 (for DIM,
@@ -139,19 +143,11 @@ N(u) = N(v), so v is in N[x] = N[u] and u, v would be adjacent. So the
 open and closed classes are disjoint, and `_rules` puts each class's one
 rule in one list: the K-end groups the plain loop filters on in the first,
 the twin rules in the second, so `_feasible`'s slot argument holds for the
-two together. Every resolving set obeys the twin rules, but the plain loop
-counts the subsets that pass the K-end rules, resolving or not. So each
-internal node first checks the K-end rules alone, and a cut there is not
-counted. A node with two or more slots left
-then checks its final lanes (below) and the K-end and twin rules together.
-A cut there removes only subsets that do not resolve: the search adds the
-subsets below it that pass the K-end rules,
-`_completions(n, rules, chosen, first, slots)`, as the plain loop would
-count them inside that subtree. Below a node with one slot left
-is a single loop over leaves, which are counted either way and cost less
-to test than a cut costs to count, so those nodes skip these checks. A
-set of twin rules that no set obeys ends the search before it starts,
-with every subset that passes the K-end rules counted.
+two together. Only the K-end rules decide what is counted, but every
+resolving set obeys both: an internal node checks both for each child, and
+a leaf runs only the lane test (a leaf that breaks a K-end rule does not
+resolve). A set of twin rules that no set obeys ends the search before it
+starts, with every subset that passes the K-end rules counted.
 
 Final lanes (both searches, all six variants). Landmark w moves the lane
 or bit of a pair (u, v) only if d(u, w) != d(v, w); otherwise its column
@@ -168,11 +164,10 @@ borrows nowhere, and a bit that no later column sets stays clear. A node
 with at most two slots left also ends its own loop: if acc leaves 0 a lane
 of final[w - 1], which no column from w on moves, no child or leaf from w
 on resolves, and since final[w - 1] grows with w the first such w ends the
-loop. `_completions(n, rules, prefix, w, slots)` counts the rest. Deeper
-nodes test each child's final[w] already, and there this test cost more
-than it saved (wheel:14 and wheel:15 DIM_MS 8-10% slower); with K-end
-rules one `_completions` costs more than the leaves it replaces (the corona
-theorem 7% slower). So it runs only with no K-end rules, once final exists.
+loop. It runs only there, as deeper nodes test each child's final[w]
+already (wheel:14 and wheel:15 DIM_MS 8-10% slower), with no K-end rules
+(the corona, amal and edge_amal theorems up to 3% slower), and once final
+exists.
 
 All resolving sets. `resolving_sets(g, variant, k)` lists every resolving
 k-set in lexicographic order by the same lane test on base plus (for
@@ -189,25 +184,24 @@ the test on final[i] and with `_feasible`, the vertices left being the
 slots. At i = n every lane has been tested. If no W resolves, the search
 adds `_completions(n, rules, 0, 0, k)` for each level k not yet searched,
 as the plain loop would count them; if one does, the level search goes on
-for the first witness in the plain loop's order. Most LMD
-values are found at level 1 or 2, where a walk is pure overhead, so it
-runs at most once, before the first level at which the level search has
-counted n*|E| subsets (wheel:15: before level 4, after 696 of 65 535).
-The final lanes are built at the first level >= 3 or walk. `search` and
-`walk` call themselves through their closure cells, so each search deletes
-its own when it ends, and a solve leaves no reference cycle. MD stays on the
-level search.
+for the first witness in the plain loop's order. Most LMD values are found
+at level 1 or 2, where a walk is pure overhead, so it runs at most once,
+before the first level at which the level search has counted n*|E|
+subsets (wheel:15: before level 4, after 696 of 65 535). The final lanes
+are built at the first level >= 3 or walk. `search` and `walk` call
+themselves through their closure cells, so each search deletes its own
+when it ends, and a solve leaves no reference cycle. MD stays on the level
+search.
 
-Levels below `bounds.level_lower_bound` are not searched. For DIM, MD and
-DIM_MS, counting the representations a vertex can have, with D the
-diameter, proves that no k-set resolves when n > D^k + k (DIM; Khuller,
-Raghavachari & Rosenfeld 1996, "Landmarks in graphs"; Chartrand et al.
-2000), when n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the
-paper's g_bound), or when n - k exceeds the number of multisets the vertices
-outside W can take (DIM_MS). The plain loop would count every subset of a
-skipped level that passes the K-end rules: the search adds
-`_completions(n, rules, 0, 0, k)` for each one to `subsets_checked` (C(n, k),
-since these variants have no K-end rules).
+Levels below `bounds.level_lower_bound` are not searched, nor those below
+the sum of at_least over both rule lists, which every resolving set meets
+as the classes are disjoint. For DIM, MD and DIM_MS, counting the
+representations a vertex can have, with D the diameter, proves that no
+k-set resolves when n > D^k + k (DIM; Khuller, Raghavachari & Rosenfeld
+1996, "Landmarks in graphs"; Chartrand et al. 2000), when
+n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the paper's
+g_bound), or when n - k exceeds the number of multisets the vertices
+outside W can take (DIM_MS). Each skipped level is counted as above.
 """
 
 import math
@@ -300,8 +294,9 @@ def _feasible(rules, chosen, first, slots):
 def _rules(g, variant):
     """(k_end, twins): one rule (mask, at_least, at_most) per twin class the
     variant compares (module docstring). k_end holds the K-end groups the
-    plain loop filters on, twins the other classes; twins only prune, and a
-    class of three or more under MD or LMD gets at_least > at_most there."""
+    plain loop filters on, twins the other classes; twins only prune and
+    raise the first level searched, and a class of three or more under MD
+    or LMD gets at_least > at_most there."""
     at_most = g.n if variant.always_finite else 1  # 1 for MD and LMD
     # LMD and LDIM_MS; LMD filters on pairs only, as triples have a certificate
     ends = (
@@ -327,6 +322,8 @@ def _completions(n, rules, chosen, first, slots):
     free = n - first
     if not rules:
         return math.comb(free, slots)
+    if not _feasible(rules, chosen, first, slots):
+        return 0  # no set passes: skip the product
     bits = n + 1
     product = 1
     for vs, lo, hi in rules:
@@ -459,17 +456,16 @@ def _first_resolving(g, variant, budget):
     `dimension()` checks (module docstring).
     """
     n = g.n
-    limit = math.inf if budget is None else budget
     rules, twins = _rules(g, variant)
     both = rules + twins
     if any(lo > hi for _, lo, hi in twins):
         k_min = n + 1  # no set obeys the twin rules, so none resolves
     else:
         # no subset of a level below k_min resolves
-        k_min = level_lower_bound(g, variant)
+        k_min = max(level_lower_bound(g, variant), sum(lo for _, lo, _ in both))
     examined = sum(_completions(n, rules, 0, 0, k) for k in range(1, k_min))
-    if k_min > n:
-        return None, examined
+    if k_min > n or budget is not None and examined > budget:
+        return None, examined  # dimension() raises past the budget
 
     cols, base, target, low, full = _columns(g, variant)
     if variant.kind == "vector":
@@ -485,9 +481,21 @@ def _first_resolving(g, variant, budget):
             # full loses a bit iff some pair's key difference is 0
             return (((acc + col) ^ target) - low) & full == full
 
+    def metered(ws, depth):
+        # the root's children, stopped where the budget runs out (module docstring)
+        passed = examined
+        for w in ws:
+            count = _completions(n, rules, 1 << w, w + 1, depth - 1)
+            if count and passed >= budget:
+                raise BudgetExhaustedError(budget)
+            passed += count
+            yield w
+
     def search(first, depth, prefix, acc):
-        # prefix: the bitmask of the landmarks chosen so far
-        nonlocal examined
+        # the first resolving set below the bitmask prefix, or None
+        ws = range(first, n - depth + 1)
+        if budget is not None and not prefix:
+            ws = metered(ws, depth)
         # with at most two slots left, the loop ends at the first w where z,
         # whose top bits (or bits) are acc's lanes that are not 0, lacks a
         # bit of final[w - 1] (module docstring); a root's w = 0 has none
@@ -495,44 +503,24 @@ def _first_resolving(g, variant, budget):
         if depth <= 2 and prefix and not rules and final is not None:
             z = (acc ^ target) - low
         if depth > 1:
-            for w in range(first, n - depth + 1):
+            for w in ws:
                 if z is not None and z & final[w - 1] != final[w - 1]:
-                    break
+                    return None
                 chosen = prefix | 1 << w
-                if rules and not _feasible(rules, chosen, w + 1, depth - 1):
+                if both and not _feasible(both, chosen, w + 1, depth - 1):
                     continue
                 acc_ = extend(acc, cols[w])
-                if depth > 2 and (
-                    ((acc_ ^ target) - low) & final[w] != final[w]
-                    or twins and not _feasible(both, chosen, w + 1, depth - 1)
-                ):
-                    # nothing below resolves: count what the plain loop would
-                    examined += _completions(n, rules, chosen, w + 1, depth - 1)
-                    if examined > limit:
-                        raise BudgetExhaustedError(budget)
+                if depth > 2 and ((acc_ ^ target) - low) & final[w] != final[w]:
                     continue
                 found = search(w + 1, depth - 1, chosen, acc_)
                 if found:
                     return found
-            else:
-                return None
         else:
-            for w in range(first, n):
+            for w in ws:
                 if z is not None and z & final[w - 1] != final[w - 1]:
-                    break
-                if rules and not _feasible(rules, prefix | 1 << w, w + 1, 0):
-                    continue
-                if examined >= limit:
-                    raise BudgetExhaustedError(budget)
-                examined += 1
+                    return None
                 if resolves(acc, cols[w]):
                     return prefix | 1 << w
-            else:
-                return None
-        # nothing from w on resolves: count it as the plain loop would
-        examined += _completions(n, rules, prefix, w, depth)
-        if examined > limit:
-            raise BudgetExhaustedError(budget)
         return None
 
     probe = variant is Variant.LMD
@@ -548,9 +536,21 @@ def _first_resolving(g, variant, budget):
                     # no subset resolves: count the levels left as the plain loop would
                     examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
                     return None, examined
-            W = search(0, k, 0, base)
-            if W:
-                return tuple(w for w in range(n) if W >> w & 1), examined
+            found = search(0, k, 0, base)
+            if found:
+                # W's rank among the k-sets that pass the K-end rules: the
+                # sets before it share its landmarks below some W[i], then
+                # take an s between W[i - 1] and W[i] (module docstring)
+                W = tuple(w for w in range(n) if found >> w & 1)
+                rank = 1 + sum(
+                    _completions(n, rules, found & (1 << w) - 1 | 1 << s, s + 1, k - i - 1)
+                    for i, w in enumerate(W)
+                    for s in range(W[i - 1] + 1 if i else 0, w)
+                )
+                return W, examined + rank
+            examined += _completions(n, rules, 0, 0, k)  # level k is refuted
+            if budget is not None and examined > budget:
+                raise BudgetExhaustedError(budget)
         return None, examined
     finally:
         del search  # search calls itself through this cell: break the cycle

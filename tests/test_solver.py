@@ -3,7 +3,9 @@ import inspect
 import math
 import multiprocessing.process
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from functools import reduce
 from itertools import combinations
 from operator import add, or_
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multires import multisets, solver, verify
-from multires.bounds import infinite_certificates, lower_bounds
+from multires.bounds import infinite_certificates, level_lower_bound, lower_bounds
 from multires.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -139,8 +141,8 @@ def test_budget_is_conclusive_or_raises():
         (gen_cycle(6), Variant.LDIM),
         (gen_cycle(6), Variant.LMD),
         (gen_cycle(6), Variant.LDIM_MS),
-        # both count loop tails by arithmetic before they reach the witness:
-        # 7 452 and 1 164 subsets
+        # both cut loop tails before they reach the witness, whose rank
+        # counts their subsets by arithmetic: 7 452 and 1 164 subsets
         (gen_wheel(15), Variant.DIM),
         (gen(parse_family_spec("gadget:8")), Variant.MD),
     ],
@@ -789,11 +791,11 @@ def test_budget_around_a_twin_cut(variant, monkeypatch):
     with pytest.raises(BudgetExhaustedError) as info:
         dimension(g, variant, opts=SolverOptions(subset_budget=6769))
     assert info.value.budget == 6769
-    # level 1 is skipped and counted (15 subsets), and level 2 is searched
-    # (105). At level 3 the five closed-twin pairs (5, 6), ..., (13, 14)
-    # each need a vertex, so the twin rules cut the prefix (0,) at once
-    # and count its 91 subsets; the plain loop reaches subset 170 inside
-    # that cut
+    # the five closed-twin pairs (5, 6), ..., (13, 14) each need a vertex,
+    # so levels 1-4 are skipped and counted (1 940 subsets). At level 5 the
+    # twin rules cut the root's child (0,) at once; its 1 001 subsets use up
+    # a budget of 2 941, so the root raises before its child (1,), whose
+    # first subset is the plain loop's 2 942nd
     calls = []
     completions = solver._completions
 
@@ -803,35 +805,121 @@ def test_budget_around_a_twin_cut(variant, monkeypatch):
 
     monkeypatch.setattr(solver, "_completions", recording)
     with pytest.raises(BudgetExhaustedError) as info:
-        dimension(g, variant, opts=SolverOptions(subset_budget=170))
-    assert info.value.budget == 170
-    assert calls == [((0, 0, 1), 15), ((1, 1, 2), 91)]
+        dimension(g, variant, opts=SolverOptions(subset_budget=2941))
+    assert info.value.budget == 2941
+    skipped = [((0, 0, k), math.comb(15, k)) for k in range(1, 5)]
+    assert calls == skipped + [((1, 1, 4), 1001), ((2, 2, 4), 715)]
 
 
-def test_a_loop_tail_is_counted_by_arithmetic(monkeypatch):
+@contextmanager
+def nested_calls(name):
+    """The arguments of every call, while the block runs, of the functions
+    called `name` that solver._first_resolving defines (search or
+    resolves), one dict per call, read by a profile hook."""
+    consts = solver._first_resolving.__code__.co_consts
+    codes = {c for c in consts if getattr(c, "co_name", None) == name}
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            names = frame.f_code.co_varnames[: frame.f_code.co_argcount]
+            calls.append({a: frame.f_locals[a] for a in names})
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_a_loop_tail_is_counted_by_arithmetic():
     # wheel:15 DIM: a node with at most two slots left ends its loop at the
     # first landmark from which no later column moves a lane its prefix
-    # leaves 0, and counts the rest of the loop in one _completions call
-    # that starts past the position after the prefix's last landmark
-    calls = []
-    completions = solver._completions
-
-    def recording(n, rules, chosen, first, slots):
-        calls.append((chosen, first, slots))
-        return completions(n, rules, chosen, first, slots)
-
-    monkeypatch.setattr(solver, "_completions", recording)
-    r = dimension(gen_wheel(15), Variant.DIM)
+    # leaves 0; the subsets it skips are counted in the level's count or the
+    # witness's rank. Without the cut the search tests 2 809 leaves
+    with nested_calls("resolves") as leaves:
+        r = dimension(gen_wheel(15), Variant.DIM)
     assert (r.value, r.witness, r.subsets_checked) == (6, (0, 1, 4, 6, 9, 11), 7452)
-    tails = sum(slots <= 2 and first > chosen.bit_length() for chosen, first, slots in calls)
-    assert (len(calls), tails) == (418, 243)
+    assert len(leaves) == 566
+
+
+@pytest.mark.parametrize(
+    "variant, value, count",
+    [(Variant.MD, 6, 6770), (Variant.LDIM, 5, 4768)],
+    ids=["md", "ldim"],
+)
+def test_twin_rules_set_the_first_level_searched(variant, value, count):
+    # corona:path:5/2,2,2,2,2: every resolving set holds a vertex of each of
+    # the five closed-twin pairs, so no level below 5 is searched, though
+    # level_lower_bound is 2 for MD and 1 for LDIM
+    g = gen(parse_family_spec(CORONA))
+    assert level_lower_bound(g, variant) < 5
+    with nested_calls("search") as calls:
+        r = dimension(g, variant)
+    assert min(call["depth"] for call in calls if not call["prefix"]) == 5
+    assert (r.value, r.subsets_checked) == (value, count)
+
+
+def test_the_root_stops_a_level_at_the_budget():
+    # wheel:27 DIM (n = 28, value 11): levels 1-4 are skipped and level 5 is
+    # refuted, 122 437 subsets. At level 6 the root's child (0,) holds
+    # C(27, 5) = 80 730 more, which pass a budget of 200 000, so the root
+    # raises before its child (1,): the search of level 6 stays below (0,),
+    # where the whole level would reach children (1,), (2,) and (3,)
+    g = gen_wheel(27)
+    with nested_calls("search") as calls, pytest.raises(BudgetExhaustedError) as info:
+        dimension(g, Variant.DIM, SolverOptions(cap=28, subset_budget=200000))
+    assert info.value.budget == 200000
+    roots = [call["depth"] for call in calls if not call["prefix"]]
+    assert roots == [5, 6]
+    level6 = [call for call in calls if call["depth"] + call["prefix"].bit_count() == 6]
+    assert level6[0]["prefix"] == 0
+    assert all(call["prefix"] & 1 for call in level6[1:])
+
+
+def test_completions_of_a_prefix_feasible_rejects_is_zero(monkeypatch):
+    # every (chosen, first, slots) on three graphs with K-end rules: the
+    # count matches a plain loop over the completions, and where _feasible
+    # rejects the prefix it is 0 without building the product (math.comb
+    # is never called)
+    def forbidden(*args):
+        raise AssertionError("_completions built the product of a rejected prefix")
+
+    two_triangles = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    cases = [
+        (two_triangles, Variant.LMD),  # two pairs, exactly one of each
+        (gen_complete(5), Variant.LDIM_MS),  # all but one of five
+        (parse_graph6("Eqiw"), Variant.LMD),
+    ]
+    rejected = 0
+    for g, variant in cases:
+        rules, n = solver._rules(g, variant)[0], g.n
+        prefixes = [(first, chosen) for first in range(n + 1) for chosen in range(1 << first)]
+        for first, chosen in prefixes:
+            for slots in range(n - first + 1):
+                want = 0
+                for X in combinations(range(first, n), slots):
+                    W = chosen | sum(1 << x for x in X)
+                    fits = [lo <= (W & mask).bit_count() <= hi for mask, lo, hi in rules]
+                    want += all(fits)
+                if solver._feasible(rules, chosen, first, slots):
+                    got = solver._completions(n, rules, chosen, first, slots)
+                else:
+                    rejected += 1
+                    with monkeypatch.context() as patch:
+                        patch.setattr(math, "comb", forbidden)
+                        got = solver._completions(n, rules, chosen, first, slots)
+                assert got == want, (g.edges, chosen, first, slots)
+    assert rejected == 249
 
 
 def test_what_is_counted_by_arithmetic_never_resolves(classes7, monkeypatch):
-    # every subset that dimension() counts without testing it, in a skipped
-    # level, under a twin or final-lane cut, in a loop tail or in the walk's
-    # unsat count, is one of the subsets a _completions call counts; by the
-    # definitions in multisets, not by the kernel, none of them resolves
+    # every subset that dimension() counts without testing it, in a level
+    # skipped or refuted, before the witness in its level's order or in the
+    # walk's unsat count, is one of the subsets a _completions call counts;
+    # by the definitions in multisets, not by the kernel, none of them
+    # resolves
     calls = []
     completions = solver._completions
 
@@ -851,14 +939,15 @@ def test_what_is_counted_by_arithmetic_never_resolves(classes7, monkeypatch):
                     W = prefix + rest
                     assert not is_resolving(g, W, variant), (variant, g.edges, W)
                     tested[variant.name] += 1
-    # subsets counted untested; most lie in levels that level_lower_bound skips
+    # subsets counted untested: every subset that a solve counts but its
+    # witness
     assert dict(tested) == {
-        "DIM": 19407,
-        "LDIM": 1731,
-        "MD": 18019,
-        "DIM_MS": 25341,
-        "LMD": 8682,
-        "LDIM_MS": 1243,
+        "DIM": 29234,
+        "LDIM": 16725,
+        "MD": 38969,
+        "DIM_MS": 42264,
+        "LMD": 29923,
+        "LDIM_MS": 19511,
     }
 
 
