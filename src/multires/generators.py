@@ -1,7 +1,8 @@
 """Deterministic constructors for every analysed graph family.
 
 Vertex labelings are part of the contract so that solver witnesses are
-reproducible:
+reproducible. Star, amal, edge_amal, corona and unicyclic are cliques glued
+onto a base by one routine, `_glue`, which appends each clique's new vertices:
 
   path/cycle/complete  0..n-1 in order (cycle in rim order)
   star                 center 0, leaves 1..m
@@ -92,6 +93,17 @@ def _require(cond, message):
         raise GraphValidationError(message)
 
 
+def _glue(n, edges, parts):
+    """The graph of `edges` on 0..n-1 with, for each (shared, new) in `parts`
+    in order, a clique on the shared vertices and `new` vertices appended
+    after the last one."""
+    edges = list(edges)
+    for shared, new in parts:
+        edges += combinations(shared + tuple(range(n, n + new)), 2)
+        n += new
+    return Graph(n, edges)
+
+
 def gen_path(n):
     _require(n >= 1, "path needs n >= 1")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -109,7 +121,7 @@ def gen_complete(n):
 
 def gen_star(m):
     _require(m >= 1, "star needs m >= 1 leaves")
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+    return _glue(1, (), [((0,), 1)] * m)
 
 
 def gen_wheel(n):
@@ -122,25 +134,13 @@ def gen_wheel(n):
 def gen_amal(orders):
     _require(len(orders) >= 2, "amal needs m >= 2 cliques")
     _require(all(ni >= 1 for ni in orders), "amal needs n_i >= 1")
-    edges = []
-    nxt = 1
-    for ni in orders:
-        block = [0] + list(range(nxt, nxt + ni - 1))
-        nxt += ni - 1
-        edges += combinations(block, 2)
-    return Graph(max(nxt, 1), edges)
+    return _glue(1, (), [((0,), ni - 1) for ni in orders])
 
 
 def gen_edge_amal(orders):
     _require(len(orders) >= 2, "edge_amal needs m >= 2 cliques")
     _require(all(ni >= 2 for ni in orders), "edge_amal needs n_i >= 2")
-    edges = [(0, 1)]
-    nxt = 2
-    for ni in orders:
-        block = [0, 1] + list(range(nxt, nxt + ni - 2))
-        nxt += ni - 2
-        edges += combinations(block, 2)
-    return Graph(nxt, edges)
+    return _glue(2, [(0, 1)], [((0, 1), ni - 2) for ni in orders])
 
 
 def gen_corona(base, orders):
@@ -149,14 +149,7 @@ def gen_corona(base, orders):
         f"corona needs one clique order per base vertex ({base.n}), got {len(orders)}",
     )
     _require(all(mi >= 1 for mi in orders), "corona needs m_i >= 1")
-    edges = list(base.edges)
-    nxt = base.n
-    for i, mi in enumerate(orders):
-        block = list(range(nxt, nxt + mi))
-        nxt += mi
-        edges += combinations(block, 2)
-        edges += [(i, v) for v in block]
-    return Graph(nxt, edges)
+    return _glue(base.n, base.edges, [((i,), mi) for i, mi in enumerate(orders)])
 
 
 def gen_join(g1, g2):
@@ -169,15 +162,12 @@ def gen_join(g1, g2):
 
 def gen_unicyclic(c, parents=()):
     _require(c >= 3, "unicyclic needs cycle length >= 3")
-    edges = [(i, (i + 1) % c) for i in range(c)]
-    for t, parent in enumerate(parents):
-        child = c + t
+    for child, parent in enumerate(parents, c):
         _require(
             0 <= parent < child,
             f"unicyclic parent {parent} must reference an existing vertex < {child}",
         )
-        edges.append((parent, child))
-    return Graph(c + len(parents), edges)
+    return _glue(c, [(i, (i + 1) % c) for i in range(c)], [((p,), 1) for p in parents])
 
 
 class CliqueGadget(namedtuple("CliqueGadget", "graph landmarks clique labels")):

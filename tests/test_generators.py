@@ -38,27 +38,37 @@ from multires.solver import certify
 from strategies import connected_graphs
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "path:5",
-        "cycle:8",
-        "complete:4",
-        "star:3",
-        "wheel:8",
-        "amal:3,3,4",
-        "edge_amal:4,4",
-        "corona:path:3/2,2,2",
-        "join:cycle:5+path:2",
-        "unicyclic:5/1,5",
-        "gadget:8",
-    ],
-)
+# each spec's labelled graph, in graph6, as the labelling contract fixes it;
+# the last six glue cliques of order 1 or 2, or none at all
+SPEC_GRAPH6 = {
+    "path:5": "DhC",
+    "cycle:8": "GhCGKC",
+    "complete:4": "C~",
+    "star:3": "Cs",
+    "wheel:8": "HhCGKF~",
+    "amal:3,3,4": "G{eCKK",
+    "edge_amal:4,4": "E~rG",
+    "corona:path:3/2,2,2": "HkdAH?`",
+    "join:cycle:5+path:2": "Fhf~w",
+    "unicyclic:5/1,5": "Fhd?G",
+    "gadget:8": "S~~~~}[?Is?@?@??eo??@??C??G??G??C",
+    "amal:1,3": "Bw",
+    "edge_amal:2,2": "A_",
+    "corona:path:1/1": "A_",
+    "unicyclic:3": "Bw",
+    "unicyclic:4/0,4,5": "Fl_GG",
+    "star:1": "A_",
+}
+
+
+@pytest.mark.parametrize("text", SPEC_GRAPH6)
 def test_spec_string_round_trip(text):
     spec = parse_family_spec(text)
     assert str(spec) == text
     assert parse_family_spec(str(spec)) == spec
-    distance_row(gen(spec), 0)  # raises if disconnected
+    g = gen(spec)
+    distance_row(g, 0)  # raises if disconnected
+    assert to_graph6(g) == SPEC_GRAPH6[text]
 
 
 def test_spec_parse_accepts_edgeamal_alias():
@@ -72,6 +82,26 @@ def test_spec_parse_accepts_edgeamal_alias():
 def test_spec_parse_errors(text):
     with pytest.raises(GraphValidationError):
         parse_family_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("amal:3", "amal needs m >= 2 cliques"),
+        ("amal:0,2", "amal needs n_i >= 1"),
+        ("edge_amal:1,3", "edge_amal needs n_i >= 2"),
+        ("corona:path:3/2,2", r"corona needs one clique order per base vertex \(3\), got 2"),
+        ("corona:path:2/0,1", "corona needs m_i >= 1"),
+        ("unicyclic:2", "unicyclic needs cycle length >= 3"),
+        ("unicyclic:4/7", "unicyclic parent 7 must reference an existing vertex < 4"),
+        ("star:0", "star needs m >= 1 leaves"),
+    ],
+)
+def test_construction_rejects_bad_parameters(text, message):
+    # each spec parses; the family's constructor rejects it
+    spec = parse_family_spec(text)
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        gen(spec)
 
 
 def test_gen_rejects_unknown_tag():
