@@ -3,7 +3,12 @@
 Six dimension variants built from a representation kind (vector or multiset)
 and the pairs compared: all pairs or adjacent pairs only, with or without the
 pairs that have an end in the landmark set.
+
+The theorem harness, `multires.verify`, loads on first use of it or of one
+of its names, so a caller that only solves never compiles it.
 """
+
+import importlib
 
 from .bounds import (
     Bound,
@@ -58,14 +63,6 @@ from .solver import (
     naive_all_dimensions,
     resolving_sets,
     solve_all,
-)
-from .verify import (
-    TheoremCheck,
-    closed_form,
-    corpus_scan,
-    run_all,
-    run_theorem,
-    wheel_path_structure,
 )
 
 __version__ = "0.1.0"
@@ -122,3 +119,21 @@ __all__ = [
     "two_core",
     "wheel_path_structure",
 ]
+
+_HARNESS = (  # resolved by __getattr__, which loads multires.verify for them
+    "verify", "TheoremCheck", "closed_form", "corpus_scan", "run_all", "run_theorem",
+    "wheel_path_structure",
+)
+
+
+def __getattr__(name):
+    if name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    harness = importlib.import_module(".verify", __name__)
+    value = harness if name == "verify" else getattr(harness, name)
+    globals()[name] = value  # later reads find it without __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HARNESS)

@@ -20,7 +20,6 @@ from .generators import all_connected, gen, parse_family_spec
 from .graph import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .multisets import Variant
 from .solver import SOLVER_CAP_DEFAULT, SolverOptions, certify, dimension, show_value
-from .verify import THEOREMS, run_theorem
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -131,6 +130,8 @@ def cmd_bounds(args):
 
 
 def cmd_verify(args):
+    from .verify import THEOREMS, run_theorem
+
     ids = args.theorem or sorted(THEOREMS)
     unknown = [t for t in ids if t not in THEOREMS]
     if unknown:

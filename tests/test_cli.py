@@ -248,6 +248,26 @@ def test_a_closed_output_pipe_exits_0_quietly():
     proc.stderr.close()
 
 
+def test_only_verify_loads_the_harness():
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from multires.cli import main
+for argv in (
+    ["compute", "--gen", "wheel:8", "--variant", "lmd"],
+    ["bounds", "--gen", "wheel:300", "--output", "json"],
+    ["certify", "--gen", "cycle:400", "--witness", "0,1", "--variant", "dim"],
+):
+    assert main(argv) == 0, argv
+    assert "multires.verify" not in sys.modules, argv
+"""
+    src = Path(multires.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_verify_corpus_above_the_cap_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "observation_chain", "--n-max", "9")
     assert code == 2

@@ -1,5 +1,6 @@
 """The public result, option and record types: their construction contract,
-and a cold `import multires` that stays free of `dataclasses`."""
+and a cold `import multires` that stays free of `dataclasses` and of the
+theorem harness until it is asked for."""
 
 import subprocess
 import sys
@@ -113,3 +114,29 @@ def test_import_does_not_load_dataclasses():
         [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_the_harness_on_first_use():
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import multires
+harness = {"verify", "TheoremCheck", "closed_form", "corpus_scan", "run_all",
+           "run_theorem", "wheel_path_structure"}
+assert "multires.verify" not in sys.modules
+assert harness <= set(dir(multires)), dir(multires)
+assert "multires.verify" not in sys.modules
+for name in multires.__all__:
+    getattr(multires, name)
+assert multires.verify is sys.modules["multires.verify"]
+for name in harness - {"verify"}:
+    assert vars(multires)[name] is getattr(multires.verify, name), name
+assert not hasattr(multires, "no_such_name")
+names = {}
+exec("from multires import *", names)
+assert set(multires.__all__) <= set(names), set(multires.__all__) - set(names)
+"""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
