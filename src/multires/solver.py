@@ -35,8 +35,9 @@ edges for LDIM, LMD and LDIM_MS.
   a distinct negative sentinel, which takes W's vertices out of every
   comparison. The kernel keeps one key difference per pair, packed into
   one integer (below), and tests that none is 0.
-- vector kinds: column w is a bitmask of the pairs that w separates; W
-  resolves iff the OR of its columns has every bit set.
+- vector kinds: column w is the bitmask of the pairs that w separates,
+  read off the same lanes, one bit per pair (below); W resolves iff the OR
+  of its columns has every bit set.
 
 Bipartite graphs (LDIM, LMD and LDIM_MS). No edge of a connected
 bipartite graph joins two vertices equally far from vertex 0, so {0}, the
@@ -44,9 +45,10 @@ plain loop's first subset, resolves every edge; with no triangle there is
 no K-end rule and no certificate. `dimension()` returns it, counted as one
 subset, before it builds certificates, rules or columns.
 
-Multiset kinds, one integer per subset. `_columns(g, variant)` is the only
-code that knows this lane format. The key: with D the diameter and Delta
-the maximum degree, the radices are r_0 = 2 and
+One integer per subset. `_columns(g, variant)`, the only code that knows
+this lane format, builds all six variants' columns with it. The key of the
+vector kinds is d(u, w), with F = D + 1 for D the diameter. That of the
+multiset kinds: with Delta the maximum degree, the radices are r_0 = 2 and
 r_d = min(n-1, Delta*(Delta-1)**(d-1)) + 1 for 1 <= d < D, the place values
 f(d) = r_0 * ... * r_(d-1) for d < D and f(D) = 0, and
 F = r_0 * ... * r_(D-1). So key_W(u) = sum over d < D of c_d * f(d), where
@@ -83,8 +85,9 @@ are clear, so the XOR sets them all). W resolves iff
 (y - low) & high == high. The test is exact (a zero-lane test; Warren,
 "Hacker's Delight", 6-1): with every top bit set first, every lane is at
 least 1, so subtracting low borrows nowhere, and lane i keeps its top bit
-iff z_i >= 1. For the vector kinds `_columns` returns the bitmask columns
-with base, target and low 0.
+iff z_i >= 1. A vector column is the top bits of the lanes w moves,
+((col + base) ^ target) - low & high, packed to one bit per pair; `_columns`
+returns it with base, target and low 0.
 
 A rule (mask, at_least, at_most) bounds the count of W's vertices in the
 vertex set `mask`. `_feasible(rules, chosen, first, slots)` asks: can
@@ -355,39 +358,25 @@ def _pair_incidence(n, L):
 @memoized
 def _columns(g, variant):
     """(cols, base, target, low, full) in the lane format of the module
-    docstring: a subset's value is base plus (for vector kinds, OR) its
-    landmarks' columns, and it resolves iff ((value ^ target) - low) & full
-    == full. Memoized on the graph, so `resolving_sets` reuses the tuple."""
+    docstring, one path for all six variants: a subset's value is base plus
+    (for vector kinds, OR) its landmarks' columns, and it resolves iff
+    ((value ^ target) - low) & full == full. A vector column is packed to one
+    bit per pair, the top bits of the lanes its landmark moves, with base,
+    target and low 0. Memoized on the graph, so `resolving_sets` reuses it."""
     rows = all_pairs_distances(g)
     n, D = g.n, diameter(g)
     if variant.kind == "vector":
-        if variant.adjacent:
-            # bit i of column w is set when w separates edge i (row[u] is d(u, w))
-            cols = tuple(
-                sum(1 << i for i, (u, v) in enumerate(g.edges) if row[u] != row[v])
-                for row in rows
-            )
-            return cols, 0, 0, 0, (1 << len(g.edges)) - 1
-        # pair (u, v), u < v, is bit off[u] + v - u - 1 (combinations order),
-        # and u's block of column w holds the later vertices not at distance
-        # d(u, w) from w
-        off = list(accumulate(range(n - 1, 0, -1), initial=0))
-        cols = []
-        for row in rows:
-            apart = [(1 << n) - 1] * (D + 1)  # apart[d]: not at distance d from w
-            for u, d in enumerate(row):
-                apart[d] ^= 1 << u
-            cols.append(sum(apart[d] >> u + 1 << off[u] for u, d in enumerate(row)))
-        return tuple(cols), 0, 0, 0, (1 << off[-1]) - 1
-    # key_w(u) = f(d(u, w)) as row w: f is the place values of the radices
-    # r_d, which bound the count of landmarks at distance d < D from a vertex
-    delta = max(map(len, g.adj))
-    radix = [
-        min(n - 1, delta * (delta - 1) ** (d - 1)) + 1 if d else 2 for d in range(D)
-    ]
-    place = list(accumulate(radix, mul, initial=1))
-    F, place[D] = place[D], 0  # every key lies in [0, F)
-    keys = [list(map(place.__getitem__, row)) for row in rows]
+        keys, F = rows, D + 1  # key_w(u) = d(u, w)
+    else:
+        # key_w(u) = f(d(u, w)) as row w: f is the place values of the radices
+        # r_d, which bound the count of landmarks at distance d < D from a vertex
+        delta = max(map(len, g.adj))
+        radix = [
+            min(n - 1, delta * (delta - 1) ** (d - 1)) + 1 if d else 2 for d in range(D)
+        ]
+        place = list(accumulate(radix, mul, initial=1))
+        F, place[D] = place[D], 0  # every key lies in [0, F)
+        keys = [list(map(place.__getitem__, row)) for row in rows]
     if variant.outer:
         # a landmark's own entry is a sentinel: the key of w in W lies in
         # [-(w+1)*F, -w*F), below every key outside W and apart from the
@@ -408,7 +397,15 @@ def _columns(g, variant):
     low = ((1 << L * lanes) - 1) // ((1 << L) - 1)
     high = low << (L - 1)
     base = B * low
-    return tuple(sum(map(mul, row, E)) for row in keys), base, base | high, low, high
+    target = base | high
+    cols = tuple(sum(map(mul, row, E)) for row in keys)
+    if variant.kind == "vector":
+        # one bit per pair, the top bit of each lane that w moves: every L-th
+        # digit of the binary string, from the last lane's top bit down
+        moved = (((c + base) ^ target) - low & high for c in cols)
+        cols = tuple(int(f"{m:0{L * lanes}b}"[::L], 2) for m in moved)
+        return cols, 0, 0, 0, (1 << lanes) - 1
+    return cols, base, target, low, high
 
 
 def _final_lanes(cols, base, target, low, full):

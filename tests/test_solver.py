@@ -394,7 +394,8 @@ def test_widest_lanes_at_the_cap_match_naive():
 
 def check_lane_format(g, variant, subsets):
     """The zero-lane test on base plus (OR for vector kinds) the columns of W
-    against the definition, and final[w] against the pairs that no landmark
+    against the definition, every bit of a vector column against the pairs
+    its landmark separates, and final[w] against the pairs that no landmark
     after w separates."""
     cols, base, target, low, full = solver._columns(g, variant)
     extend = or_ if variant.kind == "vector" else add
@@ -410,6 +411,12 @@ def check_lane_format(g, variant, subsets):
     pairs = g.edges if variant.adjacent else list(combinations(range(g.n), 2))
     bits = [b for b in range(full.bit_length()) if full >> b & 1]
     assert len(bits) == len(pairs), (variant, g.edges)
+    if variant.kind == "vector":
+        # bit i of column w is set iff w separates pair i, in every column
+        assert full == (1 << len(pairs)) - 1, (variant, g.edges)
+        for w, col in enumerate(cols):
+            want = sum(1 << i for i, (u, v) in enumerate(pairs) if d[w][u] != d[w][v])
+            assert col == want, (variant, g.edges, w)
     final = solver._final_lanes(cols, base, target, low, full)
     for w in range(g.n):
         later = range(w + 1, g.n)
