@@ -106,9 +106,11 @@ sum_j C(left, j) x**j, j over the counts that keep the class within its
 rule, times (1 + x)**(vertices in no class), plain C(n - first, slots)
 with no rules, and 0 with no product where `_feasible` says no.
 
-The search counts nothing. A level with no resolving set, skipped or
-refuted, adds every k-set that passes the K-end rules,
-`_completions(n, rules, 0, 0, k)`, worked out once the level is refuted.
+The search counts nothing. No level below the floor k_min resolves, each
+refutation raises it, and the loop searches level k only at k >= k_min (a
+refuter raises k_min or skips one level's search). Each level with no
+resolving set, below k_min, refuted or walked past, adds at one line every
+k-set that passes the K-end rules, `_completions(n, rules, 0, 0, k)`.
 The answer level adds its witness W's rank among those sets: 1 plus, for
 each i, the sets that share W's landmarks below W[i] and take next an s
 with W[i - 1] < s < W[i]. Every set so counted comes before W, and none
@@ -149,8 +151,8 @@ the twin rules in the second, so `_feasible`'s slot argument holds for the
 two together. Only the K-end rules decide what is counted, but every
 resolving set obeys both: an internal node checks both for each child, and
 a leaf runs only the lane test (a leaf that breaks a K-end rule does not
-resolve). A set of twin rules that no set obeys ends the search before it
-starts, with every subset that passes the K-end rules counted.
+resolve). A set of twin rules that no set obeys sets k_min to n + 1: no
+level is searched, so no column is built, and every level is counted.
 
 Final lanes (both searches, all six variants). Landmark w moves the lane
 or bit of a pair (u, v) only if d(u, w) != d(v, w); otherwise its column
@@ -184,27 +186,26 @@ passes the K-end rules resolves, by a depth-first walk over i = 0..n-1
 that tries "take vertex i" before "skip it", over the level kernel's own
 columns, base, target and final lanes: once i is decided, it prunes with
 the test on final[i] and with `_feasible`, the vertices left being the
-slots. At i = n every lane has been tested. If no W resolves, the search
-adds `_completions(n, rules, 0, 0, k)` for each level k not yet searched,
-as the plain loop would count them; if one does, the level search goes on
-for the first witness in the plain loop's order. Most LMD values are found
-at level 1 or 2, where a walk is pure overhead, so it runs at most once,
-before the first level at which the level search has counted n*|E|
-subsets (wheel:15: before level 4, after 696 of 65 535). The final lanes
-are built at the first level >= 3 or walk. `search` and `walk` call
-themselves through their closure cells, so each search deletes its own
-when it ends, and a solve leaves no reference cycle. MD stays on the level
-search.
+slots. At i = n every lane has been tested. If no W resolves, the walk
+sets k_min to n + 1, so no level from its own on is searched; if one does,
+the level search goes on for the first witness in the plain loop's order.
+Most LMD values are found at level 1 or 2, where a walk is pure overhead,
+so it runs at most once, before the first level at which the level search
+has counted n*|E| subsets (wheel:15: before level 4, after 696 of 65 535).
+The final lanes are built at the first level >= 3 or walk. `search` and
+`walk` call themselves through their closure cells, so each search deletes
+its own when it ends, and a solve leaves no reference cycle. MD stays on
+the level search.
 
-Levels below `bounds.level_lower_bound` are not searched, nor those below
-the sum of at_least over both rule lists, which every resolving set meets
-as the classes are disjoint. For DIM, MD and DIM_MS, counting the
+k_min starts at the larger of `bounds.level_lower_bound` and the sum of
+at_least over both rule lists, which every resolving set meets as the
+classes are disjoint. For DIM, MD and DIM_MS, counting the
 representations a vertex can have, with D the diameter, proves that no
 k-set resolves when n > D^k + k (DIM; Khuller, Raghavachari & Rosenfeld
 1996, "Landmarks in graphs"; Chartrand et al. 2000), when
 n > C(k+D-1, D-1) + C(k+D-2, D-1) (MD, the count behind the paper's
 g_bound), or when n - k exceeds the number of multisets the vertices
-outside W can take (DIM_MS). Each skipped level is counted as above.
+outside W can take (DIM_MS). Each level below k_min is counted as above.
 """
 
 import math
@@ -403,7 +404,8 @@ def _columns(g, variant):
         # one bit per pair, the top bit of each lane that w moves: every L-th
         # digit of the binary string, from the last lane's top bit down
         moved = (((c + base) ^ target) - low & high for c in cols)
-        cols = tuple(int(f"{m:0{L * lanes}b}"[::L], 2) for m in moved)
+        spec = f"0{L * lanes}b"
+        cols = tuple(int(format(m, spec)[::L], 2) for m in moved)
         return cols, 0, 0, 0, (1 << lanes) - 1
     return cols, base, target, low, high
 
@@ -458,13 +460,9 @@ def _first_resolving(g, variant, budget):
     if any(lo > hi for _, lo, hi in twins):
         k_min = n + 1  # no set obeys the twin rules, so none resolves
     else:
-        # no subset of a level below k_min resolves
+        # no subset of a level below k_min resolves; a refutation raises it
         k_min = max(level_lower_bound(g, variant), sum(lo for _, lo, _ in both))
-    examined = sum(_completions(n, rules, 0, 0, k) for k in range(1, k_min))
-    if k_min > n or budget is not None and examined > budget:
-        return None, examined  # dimension() raises past the budget
-
-    cols, base, target, low, full = _columns(g, variant)
+    examined, cols = 0, None  # cols is built at the first level searched
     if variant.kind == "vector":
         extend = or_
 
@@ -523,17 +521,17 @@ def _first_resolving(g, variant, budget):
     probe = variant is Variant.LMD
     final = None  # built for the first level or walk that reads it
     try:
-        for k in range(k_min, n + 1):
-            walk = probe and examined >= n * len(g.edges)
-            if final is None and (walk or k > 2):
+        for k in range(1, n + 1):
+            walk = probe and k >= k_min and examined >= n * len(g.edges)
+            if cols is None and k >= k_min:
+                cols, base, target, low, full = _columns(g, variant)
+            if final is None and k >= k_min and (walk or k > 2):
                 final = _final_lanes(cols, base, target, low, full)
             if walk:
                 probe = False
                 if _membership_search(rules, cols, final, base, target, low) is None:
-                    # no subset resolves: count the levels left as the plain loop would
-                    examined += sum(_completions(n, rules, 0, 0, j) for j in range(k, n + 1))
-                    return None, examined
-            found = search(0, k, 0, base)
+                    k_min = n + 1  # no subset resolves: search no level from here on
+            found = k >= k_min and search(0, k, 0, base)
             if found:
                 # W's rank among the k-sets that pass the K-end rules: the
                 # sets before it share its landmarks below some W[i], then
@@ -545,7 +543,8 @@ def _first_resolving(g, variant, budget):
                     for s in range(W[i - 1] + 1 if i else 0, w)
                 )
                 return W, examined + rank
-            examined += _completions(n, rules, 0, 0, k)  # level k is refuted
+            # no k-set resolves: skipped below k_min, refuted or walked past
+            examined += _completions(n, rules, 0, 0, k)
             if budget is not None and examined > budget:
                 raise BudgetExhaustedError(budget)
         return None, examined

@@ -7,8 +7,9 @@ from multires.generators import graph_from_mask
 from multires.graph import Graph
 
 
-def random_connected_graph(rng, n_max=8, n_min=2):
-    """Uniform-ish random connected graph: spanning tree plus random edges."""
+def random_connected_graph(rng, n_max=8, n_min=2, max_extra=None):
+    """Uniform-ish random connected graph: spanning tree plus up to
+    `max_extra` random edges (up to n(n-1)/2 if None; a tree if 0)."""
     n = rng.randint(n_min, n_max)
     edges = set()
     order = list(range(n))
@@ -16,7 +17,7 @@ def random_connected_graph(rng, n_max=8, n_min=2):
     for i in range(1, n):
         parent = rng.choice(order[:i])
         edges.add(tuple(sorted((order[i], parent))))
-    extra = rng.randint(0, n * (n - 1) // 2)
+    extra = rng.randint(0, n * (n - 1) // 2 if max_extra is None else max_extra)
     for _ in range(extra):
         u, v = rng.sample(range(n), 2)
         edges.add(tuple(sorted((u, v))))
