@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,177 @@ def test_compute_reads_stdin(capsys, monkeypatch, source):
     )
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 2
+
+
+def _table(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _result(variant, value, witness, subsets, certificate=None):
+    return {
+        "variant": variant,
+        "value": value,
+        "witness": witness,
+        "certificate": certificate,
+        "subsets_checked": subsets,
+        "elapsed_ms": 0,
+    }
+
+
+_VARIANTS = ("dim", "ldim", "md", "dim_ms", "lmd", "ldim_ms")
+_BOUNDS_LOWER = {
+    "ldim_ms": {"value": 2, "provenance": "nonbipartite_2"},
+    "lmd": {"value": 2, "provenance": "nonbipartite_2"},
+}
+_WHEEL_30_SKIPPED = [
+    "clique_log: n=31 exceeds omega cap 20",
+    "triple_k_end: n=31 exceeds omega cap 20",
+    "chromatic_gdchi: n=31 exceeds chi cap 16",
+]
+_WHEEL_LEMMA_FAILURES = [
+    "wheel:5 W=(0, 1)", "wheel:5 W=(0, 4)", "wheel:5 W=(1, 2)",
+    "wheel:5 W=(2, 3)", "wheel:5 W=(3, 4)", "wheel:7 W=(0, 1, 3)",
+    "wheel:7 W=(0, 1, 5)", "wheel:7 W=(0, 2, 3)", "wheel:7 W=(0, 2, 6)",
+    "wheel:7 W=(0, 4, 5)",
+]
+
+# The exact stdout and exit code of each command, table and JSON, with
+# elapsed_ms read as 0: the layout of every record the CLI prints.
+GOLDEN = {
+    "compute --gen wheel:8": (0, _table(
+        "variant     value  witness",
+        "dim             3  0,2,4",
+        "ldim            2  0,4",
+        "md       infinity  -",
+        "dim_ms          7  0,1,2,3,4,5,6",
+        "lmd             2  0,4",
+        "ldim_ms         2  0,4",
+    )),
+    "compute --gen wheel:8 --output json": (0, _json({"n": 9, "results": [
+        _result("dim", 3, [0, 2, 4], 54),
+        _result("ldim", 2, [0, 4], 13),
+        _result("md", "infinity", None, 0,
+                "diam_le_2: diameter 2 <= 2 and graph is not a path"),
+        _result("dim_ms", 7, [0, 1, 2, 3, 4, 5, 6], 466),
+        _result("lmd", 2, [0, 4], 13),
+        _result("ldim_ms", 2, [0, 4], 13),
+    ]})),
+    "compute --gen complete:4": (0, _table(
+        "variant     value  witness",
+        "dim             3  0,1,2",
+        "ldim            3  0,1,2",
+        "md       infinity  -",
+        "dim_ms          3  0,1,2",
+        "lmd      infinity  -",
+        "ldim_ms         3  0,1,2",
+    )),
+    "compute --gen complete:4 --output json": (0, _json({"n": 4, "results": [
+        _result("dim", 3, [0, 1, 2], 11),
+        _result("ldim", 3, [0, 1, 2], 11),
+        _result("md", "infinity", None, 0,
+                "diam_le_2: diameter 1 <= 2 and graph is not a path"),
+        _result("dim_ms", 3, [0, 1, 2], 11),
+        _result("lmd", "infinity", None, 0,
+                "triple_k_end: clique (0, 1, 2, 3) has 4 K-end vertices"),
+        _result("ldim_ms", 3, [0, 1, 2], 1),
+    ]})),
+    "compute --gen path:3": (0, _table(
+        "variant     value  witness",
+        *(f"{v:<8} {1:>8}  0" for v in _VARIANTS),
+    )),
+    "compute --gen path:3 --output json": (0, _json({
+        "n": 3, "results": [_result(v, 1, [0], 1) for v in _VARIANTS],
+    })),
+    "certify --gen cycle:5 --variant ldim_ms --witness 0,1": (0, _table("valid: True")),
+    "certify --gen cycle:5 --variant ldim_ms --witness 0,1 --output json": (0, _json({
+        "variant": "ldim_ms", "witness": [0, 1], "valid": True, "violating_pairs": [],
+    })),
+    "certify --gen cycle:5 --variant lmd --witness 0": (
+        3, _table("valid: False", "violating pair: 2 3")
+    ),
+    "certify --gen cycle:5 --variant lmd --witness 0 --output json": (3, _json({
+        "variant": "lmd", "witness": [0], "valid": False, "violating_pairs": [[2, 3]],
+    })),
+    "bounds --gen complete:4": (0, _table(
+        "n: 4",
+        "lower ldim_ms: 2 (nonbipartite_2)",
+        "lower lmd: 2 (nonbipartite_2)",
+        "upper dim_ms: 3",
+        "upper ldim_ms: 3",
+        "infinite md: diam_le_2 (0, 1)",
+        "infinite lmd: triple_k_end (0, 1, 2, 3)",
+    )),
+    "bounds --gen complete:4 --output json": (0, _json({
+        "n": 4,
+        "lower": _BOUNDS_LOWER,
+        "upper": {"dim_ms": 3, "ldim_ms": 3},
+        "certificates": [
+            {"variant": "md", "kind": "diam_le_2", "witness": [0, 1]},
+            {"variant": "lmd", "kind": "triple_k_end", "witness": [0, 1, 2, 3]},
+        ],
+        "skipped": [],
+    })),
+    "bounds --gen wheel:30": (0, _table(
+        "n: 31",
+        "lower ldim_ms: 2 (nonbipartite_2)",
+        "lower lmd: 2 (nonbipartite_2)",
+        "upper dim_ms: 30",
+        "upper ldim_ms: 30",
+        "infinite md: diam_le_2 (0, 2)",
+        *(f"skipped: {note}" for note in _WHEEL_30_SKIPPED),
+    )),
+    "bounds --gen wheel:30 --output json": (0, _json({
+        "n": 31,
+        "lower": _BOUNDS_LOWER,
+        "upper": {"dim_ms": 30, "ldim_ms": 30},
+        "certificates": [{"variant": "md", "kind": "diam_le_2", "witness": [0, 2]}],
+        "skipped": _WHEEL_30_SKIPPED,
+    })),
+    "verify --theorem cycles --theorem corona": (0, _table(
+        "cycles                   pass (20 instances)",
+        "corona                   pass (46 instances)",
+    )),
+    "verify --theorem cycles --theorem corona --output json": (0, _json([
+        {"theorem": "cycles", "passed": True, "instances": 20, "failures": []},
+        {"theorem": "corona", "passed": True, "instances": 46, "failures": []},
+    ])),
+    "verify --theorem wheel_lemma_1or3": (3, _table(
+        "wheel_lemma_1or3         FAIL (135 instances)",
+        *(
+            f"    {instance} ldim_ms_path_structure: expected True, computed False"
+            for instance in _WHEEL_LEMMA_FAILURES
+        ),
+    )),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_golden_output(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert (code, out, err) == (*GOLDEN[command], "")
+
+
+def test_golden_failure_record(capsys):
+    # a failing theorem's JSON holds each failing instance in full
+    code, out, _ = run(capsys, "verify", "--theorem", "wheel_lemma_1or3", "--output", "json")
+    [check] = json.loads(out)
+    assert code == 3
+    assert (check["theorem"], check["passed"], check["instances"]) == (
+        "wheel_lemma_1or3", False, 135
+    )
+    assert len(check["failures"]) == 61
+    assert check["failures"][0] == {
+        "instance": "wheel:5 W=(0, 1)",
+        "quantity": "ldim_ms_path_structure",
+        "expected": True,
+        "computed": False,
+        "note": "",
+    }
 
 
 def test_compute_graph6_input(capsys, tmp_path):
