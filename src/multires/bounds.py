@@ -45,28 +45,6 @@ class BoundReport(namedtuple("BoundReport", "n lower upper certificates skipped"
 
     __slots__ = ()
 
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "lower": {
-                v.name.lower(): {"value": b.value, "provenance": b.provenance}
-                for v, b in sorted(self.lower.items(), key=lambda kv: kv[0].name)
-            },
-            "upper": {
-                v.name.lower(): u
-                for v, u in sorted(self.upper.items(), key=lambda kv: kv[0].name)
-            },
-            "certificates": [
-                {
-                    "variant": c.variant.name.lower(),
-                    "kind": c.kind,
-                    "witness": list(c.witness),
-                }
-                for c in self.certificates
-            ],
-            "skipped": list(self.skipped),
-        }
-
 
 def g_bound(d, chi):
     """Smallest k with C(k+d-1,d-1) + C(k+d-2,d-1) - d + 1 >= chi.

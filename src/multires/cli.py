@@ -1,5 +1,8 @@
 """Command line interface.
 
+Every JSON payload is built here from the library's plain records, and
+each table from its command's payload; both show INFINITE as "infinity".
+
 Exit codes: 0 success, 1 input error, 2 cap or budget exceeded, 3 a
 verification or certification failed; 0 also when the reader closes stdout.
 """
@@ -19,7 +22,7 @@ from .errors import (
 from .generators import all_connected, gen, parse_family_spec
 from .graph import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .multisets import Variant
-from .solver import SOLVER_CAP_DEFAULT, SolverOptions, certify, dimension, show_value
+from .solver import INFINITE, SOLVER_CAP_DEFAULT, SolverOptions, certify, dimension
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,10 +59,8 @@ def _read_graph(args):
     return parse_edge_list(text)
 
 
-def _variants(name):
-    if name == "all":
-        return list(Variant)
-    return [Variant.from_name(name)]
+def _value(value):
+    return "infinity" if value == INFINITE else value
 
 
 def _parse_witness(text):
@@ -81,15 +82,27 @@ def _emit(args, payload, table_lines):
 def cmd_compute(args):
     g = _read_graph(args)
     opts = SolverOptions(subset_budget=args.budget, cap=_solver_cap())
-    results = {v: dimension(g, v, opts=opts) for v in _variants(args.variant)}
+    # argparse's choices admit only the Variant names, in lower case
+    variants = list(Variant) if args.variant == "all" else [Variant[args.variant.upper()]]
+    results = [dimension(g, v, opts=opts) for v in variants]
     payload = {
         "n": g.n,
-        "results": [results[v].to_json_dict() for v in results],
+        "results": [
+            {
+                "variant": r.variant.name.lower(),
+                "value": _value(r.value),
+                "witness": None if r.witness is None else list(r.witness),
+                "certificate": r.certificate,
+                "subsets_checked": r.subsets_checked,
+                "elapsed_ms": r.elapsed_ms,
+            }
+            for r in results
+        ],
     }
     lines = [f"{'variant':<8} {'value':>8}  witness"]
-    for v, r in results.items():
-        witness = "-" if r.witness is None else ",".join(map(str, r.witness))
-        lines.append(f"{v.name.lower():<8} {str(show_value(r.value)):>8}  {witness}")
+    for r in payload["results"]:
+        witness = "-" if r["witness"] is None else ",".join(map(str, r["witness"]))
+        lines.append(f"{r['variant']:<8} {str(r['value']):>8}  {witness}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -97,10 +110,16 @@ def cmd_compute(args):
 def cmd_certify(args):
     g = _read_graph(args)
     witness = _parse_witness(args.witness)
-    cert = certify(g, witness, Variant.from_name(args.variant))
-    lines = [f"valid: {cert.valid}"]
-    lines += [f"violating pair: {u} {v}" for u, v in cert.violating]
-    _emit(args, cert.to_json_dict(), lines)
+    cert = certify(g, witness, Variant[args.variant.upper()])
+    payload = {
+        "variant": cert.variant.name.lower(),
+        "witness": list(cert.witness),
+        "valid": cert.valid,
+        "violating_pairs": [list(p) for p in cert.violating],
+    }
+    lines = [f"valid: {payload['valid']}"]
+    lines += [f"violating pair: {u} {v}" for u, v in payload["violating_pairs"]]
+    _emit(args, payload, lines)
     return EXIT_OK if cert.valid else EXIT_VERIFY
 
 
@@ -109,23 +128,39 @@ def cmd_gen(args):
     if args.format == "graph6":
         print(to_graph6(g))
     else:
-        print(to_edge_list(g).rstrip("\n"))
+        print(to_edge_list(g))
     return EXIT_OK
 
 
 def cmd_bounds(args):
     g = _read_graph(args)
     report = lower_bounds(g)
-    lines = [f"n: {report.n}"]
-    for v, b in sorted(report.lower.items(), key=lambda kv: kv[0].name):
-        lines.append(f"lower {v.name.lower()}: {b.value} ({b.provenance})")
-    for v, u in sorted(report.upper.items(), key=lambda kv: kv[0].name):
-        lines.append(f"upper {v.name.lower()}: {u}")
-    for c in report.certificates:
-        lines.append(f"infinite {c.variant.name.lower()}: {c.kind} {c.witness}")
-    for note in report.skipped:
+    payload = {
+        "n": report.n,
+        "lower": {
+            v.name.lower(): {"value": b.value, "provenance": b.provenance}
+            for v, b in sorted(report.lower.items(), key=lambda kv: kv[0].name)
+        },
+        "upper": {
+            v.name.lower(): u
+            for v, u in sorted(report.upper.items(), key=lambda kv: kv[0].name)
+        },
+        "certificates": [
+            {"variant": c.variant.name.lower(), "kind": c.kind, "witness": list(c.witness)}
+            for c in report.certificates
+        ],
+        "skipped": list(report.skipped),
+    }
+    lines = [f"n: {payload['n']}"]
+    for v, b in payload["lower"].items():
+        lines.append(f"lower {v}: {b['value']} ({b['provenance']})")
+    for v, u in payload["upper"].items():
+        lines.append(f"upper {v}: {u}")
+    for c in payload["certificates"]:
+        lines.append(f"infinite {c['variant']}: {c['kind']} {tuple(c['witness'])}")
+    for note in payload["skipped"]:
         lines.append(f"skipped: {note}")
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -136,8 +171,26 @@ def cmd_verify(args):
     unknown = [t for t in ids if t not in THEOREMS]
     if unknown:
         raise MultiresError(f"unknown theorem ids {unknown}; known: {sorted(THEOREMS)}")
-    payload = [run_theorem(tid, args.n_max).to_json_dict() for tid in ids]
-    lines = []  # the table shows what the JSON shows
+    checks = [run_theorem(tid, args.n_max) for tid in ids]
+    payload = [
+        {
+            "theorem": c.theorem_id,
+            "passed": c.passed,
+            "instances": len(c.instances),
+            "failures": [
+                {
+                    "instance": f.instance,
+                    "quantity": f.quantity,
+                    "expected": _value(f.expected),
+                    "computed": _value(f.computed),
+                    "note": f.note,
+                }
+                for f in c.failures()
+            ],
+        }
+        for c in checks
+    ]
+    lines = []
     for c in payload:
         lines.append(
             f"{c['theorem']:<24} {'pass' if c['passed'] else 'FAIL'}"

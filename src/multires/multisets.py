@@ -38,13 +38,6 @@ class Variant(Enum):
         # since the solver reads it on every solve.
         self.always_finite = kind == "vector" or outer
 
-    @classmethod
-    def from_name(cls, name):
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise GraphValidationError(f"unknown variant {name!r}") from None
-
 
 def vertex_keys(rows, kind):
     """Per-vertex representation keys from the landmarks' distance rows.

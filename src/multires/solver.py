@@ -224,12 +224,6 @@ from .multisets import Variant, scope_pairs, vertex_keys, violating_pairs
 
 INFINITE = math.inf
 
-
-def show_value(value):
-    """`value` as JSON shows it: "infinity" for INFINITE, else unchanged."""
-    return "infinity" if value == INFINITE else value
-
-
 SOLVER_CAP_DEFAULT = 20
 
 
@@ -257,27 +251,8 @@ class DimensionResult(
     def is_infinite(self):
         return self.value == INFINITE
 
-    def to_json_dict(self):
-        return {
-            "variant": self.variant.name.lower(),
-            "value": show_value(self.value),
-            "witness": None if self.witness is None else list(self.witness),
-            "certificate": self.certificate,
-            "subsets_checked": self.subsets_checked,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
-
-class Certificate(namedtuple("Certificate", "variant witness valid violating")):
-    __slots__ = ()
-
-    def to_json_dict(self):
-        return {
-            "variant": self.variant.name.lower(),
-            "witness": list(self.witness),
-            "valid": self.valid,
-            "violating_pairs": [list(p) for p in self.violating],
-        }
+Certificate = namedtuple("Certificate", "variant witness valid violating")
 
 
 def _feasible(rules, chosen, first, slots):

@@ -37,7 +37,6 @@ from .solver import (
     dimension,
     naive_all_dimensions,
     resolving_sets,
-    show_value,
 )
 
 
@@ -218,23 +217,6 @@ class TheoremCheck(namedtuple("TheoremCheck", "theorem_id instances")):
 
     def failures(self):
         return [c for c in self.instances if not c.ok]
-
-    def to_json_dict(self):
-        return {
-            "theorem": self.theorem_id,
-            "passed": self.passed,
-            "instances": len(self.instances),
-            "failures": [
-                {
-                    "instance": c.instance,
-                    "quantity": c.quantity,
-                    "expected": show_value(c.expected),
-                    "computed": show_value(c.computed),
-                    "note": c.note,
-                }
-                for c in self.failures()
-            ],
-        }
 
 
 def wheel_path_structure(n, W, outer):

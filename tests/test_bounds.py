@@ -188,10 +188,3 @@ def test_level_lower_bound_trivial_cases():
     assert level_lower_bound(Graph(1, []), Variant.MD) == 1
     for variant in (Variant.LDIM, Variant.LMD, Variant.LDIM_MS):
         assert level_lower_bound(gen_complete(6), variant) == 1
-
-
-def test_bound_report_serialization():
-    d = lower_bounds(gen_complete(4)).to_json_dict()
-    assert d["n"] == 4
-    assert d["lower"]["lmd"]["value"] == 2
-    assert any(c["kind"] == "triple_k_end" for c in d["certificates"])

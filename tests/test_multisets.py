@@ -16,13 +16,6 @@ from multires.multisets import (
 from strategies import connected_graphs
 
 
-def test_variant_lookup():
-    assert Variant.from_name("lmd") is Variant.LMD
-    assert Variant.from_name("DIM_MS") is Variant.DIM_MS
-    with pytest.raises(GraphValidationError):
-        Variant.from_name("nope")
-
-
 def test_variant_finiteness():
     # the README's table: (kind, only edges compared, pairs with an end in W
     # dropped, never infinite)

@@ -1017,10 +1017,3 @@ def test_observation_chain_on_random_graphs(g):
     assert got[Variant.LMD] <= got[Variant.MD]
     if g.n >= 2:
         assert got[Variant.DIM_MS] <= g.n - 1
-
-
-def test_result_serialization():
-    d = dimension(gen_complete(3), Variant.LMD).to_json_dict()
-    assert d["value"] == "infinity"
-    d = dimension(gen_path(3), Variant.DIM).to_json_dict()
-    assert d["value"] == 1 and d["witness"] == [0]

@@ -130,7 +130,7 @@ def test_wheel_path_structure_examples():
 def test_run_theorem_families_pass():
     for tid in ("cycles", "complete", "unicyclic", "chromatic_bound"):
         check = run_theorem(tid)
-        assert check.passed, check.to_json_dict()
+        assert check.passed, check.failures()
 
 
 def test_edge_amal_closed_forms_beyond_the_fixed_orders():
@@ -150,7 +150,7 @@ def test_edge_amal_closed_forms_beyond_the_fixed_orders():
 
 def test_run_theorem_wheels_small_range():
     check = run_theorem("wheels")
-    assert check.passed, check.to_json_dict()
+    assert check.passed, check.failures()
 
 
 def test_run_theorem_rejects_unknown_id():
@@ -168,14 +168,6 @@ def test_run_theorem_rejects_an_empty_corpus_for_every_theorem():
     # cycles uses no corpus, yet n_max=0 fails loudly for it too
     with pytest.raises(GraphValidationError, match="n_max >= 1, got 0"):
         run_theorem("cycles", n_max=0)
-
-
-def test_theorem_check_serialization():
-    check = run_theorem("cycles")
-    d = check.to_json_dict()
-    assert d["passed"] is True
-    assert d["instances"] == 20
-    assert d["failures"] == []
 
 
 def test_wheel_lemma_holds_for_lmd_bases():
@@ -257,7 +249,7 @@ def test_corpus_backed_theorems_pass():
         "maxsubgraph",
     ):
         check = run_theorem(tid, n_max=5)
-        assert check.passed, check.to_json_dict()
+        assert check.passed, check.failures()
 
 
 # clause -> (class in graph6, variant, wrong value, whether the value is the
