@@ -420,6 +420,21 @@ def test_a_closed_output_pipe_exits_0_quietly():
     proc.stderr.close()
 
 
+def test_verify_json_does_not_depend_on_hash_order():
+    # each run exits 3, since the wheel_lemma_1or3 divergence is reported
+    src = Path(multires.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multires.cli", "verify", "--output", "json"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 3, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_only_verify_loads_the_harness():
     code = """
 import sys

@@ -201,7 +201,7 @@ def test_graph_from_mask():
     assert graph_from_mask(3, 0).edges == ()
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)])
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
 def test_all_connected_counts(n, count):
     assert sum(1 for _ in all_connected(n)) == count
 

@@ -145,11 +145,18 @@ def test_budget_is_conclusive_or_raises():
         # counts their subsets by arithmetic: 7 452 and 1 164 subsets
         (gen_wheel(15), Variant.DIM),
         (gen(parse_family_spec("gadget:8")), Variant.MD),
+        # infinite at n = 18 and at the cap (n = 20): the membership walk
+        # counts all 2^n - 1 subsets
+        (gen_wheel(17), Variant.LMD),
+        (gen_wheel(19), Variant.LMD),
+        # one bit per edge at the cap: 7 999 subsets
+        (gen_wheel(19), Variant.LDIM),
     ],
     ids=[
         "finite", "exhausted", "outer", "exhausted_in_a_twin_cut",
         "bipartite_ldim", "bipartite_lmd", "bipartite_ldim_ms",
         "loop_tails_dim", "loop_tails_md",
+        "walk_n18_lmd", "walk_at_the_cap_lmd", "edges_at_the_cap_ldim",
     ],
 )
 def test_budget_boundary(g, variant):
@@ -554,6 +561,8 @@ AT_THE_CAP = [
     ("wheel:19", Variant.MD, INFINITE, None, 0, DIAM_2),
     ("wheel:19", Variant.DIM_MS, 18, tuple(range(18)), 1048365, None),
     ("wheel:19", Variant.LDIM_MS, 6, (0, 1, 3, 7, 11, 15), 22687, None),
+    ("wheel:17", Variant.LMD, INFINITE, None, 262143, "exhausted all 2^18 - 1 subsets"),
+    ("wheel:19", Variant.LMD, INFINITE, None, 1048575, "exhausted all 2^20 - 1 subsets"),
 ]
 
 

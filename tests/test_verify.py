@@ -183,6 +183,7 @@ def test_wheel_lemma_outer_variant_fails_on_odd_wheels():
     and minimum certified bases containing one do exist.
     """
     check = run_theorem("wheel_lemma_1or3")
+    assert len(check.failures()) == 61
     assert not all(
         c.ok
         for c in check.instances
