@@ -16,6 +16,11 @@ onto a base by one routine, `_glue`, which appends each clique's new vertices:
                        t-th tree vertex is any already-existing vertex
   gadget               clique first (u_1..u_k, v_0, v_1, ...), then the
                        pendant paths in j order
+
+The module also enumerates graphs for the corpus: `all_connected` every
+labeled connected graph, and `connected_classes` one graph per isomorphism
+class with its automorphism count, told apart by the canonical code of
+`canonical_form`, which also returns generators of the automorphism group.
 """
 
 from collections import namedtuple
@@ -298,47 +303,120 @@ def _refine(nbrs, colours):
         cells = len(rank)
 
 
+def _pair_bits(n):
+    """bits[a][b]: the code bit of the pair of leaf positions a, b."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(combinations(range(n), 2)):
+        bits[a][b] = bits[b][a] = 1 << i
+    return bits
+
+
 def canonical_form(g):
-    """(least leaf code, every automorphism of g) by individualization-refinement.
+    """(least leaf code, generators of Aut(g), |Aut(g)|) by
+    individualization-refinement, pruned by the automorphisms it finds.
 
     The search refines colours to an equitable partition, individualizes
     each vertex of the first cell with more than one vertex in turn, and
     refines again, down to discrete partitions (McKay & Piperno 2014,
     "Practical graph isomorphism, II"). Each leaf orders the vertices, and
     its code is the edge set under that order as a bitmask. Every step is
-    label-invariant, so isomorphic graphs share the least code. Nothing is
-    pruned, and two leaves share a code exactly when an automorphism maps
-    one to the other, so the leaves reaching the least code give Aut(g),
-    each automorphism once, as a tuple of vertex images.
+    label-invariant, so isomorphic graphs share the least code.
+
+    A leaf with the first leaf's code gives a generator: the automorphism,
+    as a tuple of vertex images, that maps the first leaf onto it. The
+    generators found below a node of the first path fix the vertices
+    individualized above it. So at such a node a child in the orbit of one
+    tried before roots an image of that one's subtree and is skipped, and a
+    child that is a twin of the first (the two have the same neighbours
+    apart from each other) is not searched, as swapping the two is a
+    generator. A subtree off the first path is left once it gives a
+    generator, which maps the first path's subtree onto it. Every skipped
+    subtree is an automorphic image of a searched one, so the least code is
+    still reached. Once a first-path node is done, its generators generate
+    the stabilizer of the vertices individualized above it, so by
+    orbit-stabilizer |Aut(g)| is the product, over the first path, of the
+    first child's orbit size in its cell.
     """
-    n = g.n
-    nbrs = [tuple(g.adj[v]) for v in range(n)]
-    bit = [[0] * n for _ in range(n)]  # bit[a][b]: the pair of leaf positions a, b
-    for i, (a, b) in enumerate(combinations(range(n), 2)):
-        bit[a][b] = bit[b][a] = 1 << i
-    best, leaves = None, []
-    stack = [_refine(nbrs, [0] * n)]
-    while stack:
-        colours = stack.pop()
+    return _label(g.n, g.adj, g.edges, _pair_bits(g.n))
+
+
+def _label(n, nbrs, edges, bits):
+    """canonical_form of the graph with these neighbour lists and edges;
+    bits is _pair_bits(n)."""
+    parent = list(range(n))  # union-find over the generators' orbits
+    gens = []
+    # the first leaf's colours and code, and the least code found so far
+    first = first_code = best = None
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def found(gen):
+        gens.append(gen)
+        for v, w in enumerate(gen):
+            parent[find(v)] = find(w)
+
+    def cell_of(colours):
+        """The first cell with more than one vertex; empty at a leaf."""
         sizes = [0] * n
         for c in colours:
             sizes[c] += 1
         target = next((c for c in range(n) if sizes[c] > 1), None)
-        if target is None:
-            code = sum(bit[colours[u]][colours[v]] for u, v in g.edges)
-            if best is None or code < best:
-                best, leaves = code, [colours]
-            elif code == best:
-                leaves.append(colours)
-            continue
-        for v in range(n):
-            if colours[v] == target:
-                split = [2 * c + (u != v) for u, c in enumerate(colours)]
-                stack.append(_refine(nbrs, split))
-    at = [0] * n  # at[position] = the vertex the first best leaf puts there
-    for v, c in enumerate(leaves[0]):
-        at[c] = v
-    return best, [tuple(at[c] for c in colours) for colours in leaves]
+        return [v for v in range(n) if colours[v] == target]
+
+    def child(colours, v):
+        return _refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colours)])
+
+    def leaf_code(colours):
+        return sum(bits[colours[u]][colours[v]] for u, v in edges)
+
+    def off_path(colours):
+        """Search a subtree off the first path; True once it gives a generator."""
+        nonlocal best
+        cell = cell_of(colours)
+        if cell:
+            return any(off_path(child(colours, v)) for v in cell)
+        code = leaf_code(colours)
+        if code != first_code:
+            best = min(best, code)
+            return False
+        at = [0] * n
+        for v, c in enumerate(colours):
+            at[c] = v
+        found(tuple(at[c] for c in first))
+        return True
+
+    def first_path(colours):
+        """Search below a node of the first path; the order of the stabilizer
+        of the vertices individualized above it."""
+        nonlocal first, first_code, best
+        cell = cell_of(colours)
+        if not cell:
+            first, first_code = colours, leaf_code(colours)
+            best = first_code
+            return 1
+        a = cell[0]
+        order = first_path(child(colours, a))
+        tried = [a]
+        for v in cell[1:]:
+            if find(v) not in {find(u) for u in tried}:
+                tried.append(v)
+                if set(nbrs[a]).symmetric_difference(nbrs[v]) <= {a, v}:
+                    # twins: swapping them is an automorphism fixing the prefix
+                    found(tuple(v if u == a else a if u == v else u for u in range(n)))
+                else:
+                    off_path(child(colours, v))
+        root = find(a)
+        return order * sum(find(v) == root for v in cell)
+
+    try:
+        # start from the degrees, the colours one round from a single cell gives
+        order = first_path(_refine(nbrs, [len(a) for a in nbrs]))
+    finally:
+        del first_path, off_path  # each calls itself through its cell: break the cycles
+    return best, gens, order
 
 
 def connected_classes(n_max):
@@ -351,31 +429,50 @@ def connected_classes(n_max):
     it connected, so every class is reached. Neighbourhoods that an
     automorphism of the smaller graph maps onto each other give isomorphic
     graphs, so only the first of each orbit is tried (McKay 1998,
-    "Isomorph-free exhaustive generation"). Each class keeps the first
-    graph that reached it, so the order and labels are deterministic. A
-    layer keeps its classes as edges, so what is memoized on a yielded graph
-    is freed with it. Above CORPUS_CAP it raises before building any class.
+    "Isomorph-free exhaustive generation"). A layer keeps each class as its
+    edges and the generators canonical_form found, and a tried
+    neighbourhood mask marks its whole orbit tried: the closure of the mask
+    under the generators. A candidate is labelled from its neighbour lists
+    and becomes a Graph only if its class is new; |Aut| is the
+    orbit-stabilizer order canonical_form gives. Each class keeps the first
+    graph that reached it, so the order and labels are deterministic. As a
+    layer keeps edges, not graphs, what is memoized on a yielded graph is
+    freed with it. Above CORPUS_CAP it raises before building any class.
     """
     if n_max < 1:
         raise GraphValidationError("connected_classes needs n_max >= 1")
     if n_max > CORPUS_CAP:
         raise CapExceededError("connected class enumeration", n_max, CORPUS_CAP)
-    layer = [((), [(0,)])]
+    layer = [((), [])]
     yield Graph(1, ()), 1
     for n in range(2, n_max + 1):
+        bits = _pair_bits(n)
         seen = set()
         nxt = []
-        for edges, automorphisms in layer:
+        for edges, gens in layer:
+            adj = [[] for _ in range(n - 1)]
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
             tried = set()
             for mask in range(1, 1 << (n - 1)):
                 if mask in tried:
                     continue
+                orbit = [mask]
+                tried.add(mask)
+                for m in orbit:
+                    for p in gens:
+                        image = sum(1 << p[u] for u in range(n - 1) if m >> u & 1)
+                        if image not in tried:
+                            tried.add(image)
+                            orbit.append(image)
                 nbhd = [u for u in range(n - 1) if mask >> u & 1]
-                tried.update(sum(1 << p[u] for u in nbhd) for p in automorphisms)
-                g = Graph(n, edges + tuple((u, n - 1) for u in nbhd))
-                code, aut = canonical_form(g)
+                nbrs = [a + [n - 1] if mask >> u & 1 else a for u, a in enumerate(adj)]
+                new = edges + tuple((u, n - 1) for u in nbhd)
+                code, new_gens, order = _label(n, nbrs + [nbhd], new, bits)
                 if code not in seen:
                     seen.add(code)
-                    nxt.append((g.edges, aut))
-                    yield g, len(aut)
+                    g = Graph(n, new)
+                    nxt.append((g.edges, new_gens))
+                    yield g, order
         layer = nxt

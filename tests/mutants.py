@@ -96,6 +96,19 @@ MUTANTS = (
         " for w, m in enumerate(moved))",
         "a vector column with one pair bit flipped",
     ),
+    (
+        "generators.py",
+        "        return order * sum(find(v) == root for v in cell)",
+        "        return order * sum(find(v) == root for v in tried)",
+        "a group order that counts an orbit over the tried children only",
+    ),
+    (
+        "generators.py",
+        "                    off_path(child(colours, v))",
+        "                    if off_path(child(colours, v)):\n"
+        "                        break",
+        "a first-path node left at its first generator, as a node off the path is",
+    ),
 )
 
 

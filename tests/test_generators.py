@@ -20,7 +20,6 @@ from multires.generators import (
     gen_edge_amal,
     gen_join,
     gen_path,
-    gen_star,
     gen_unicyclic,
     gen_wheel,
     graph_from_mask,
@@ -236,12 +235,45 @@ def test_connected_classes_are_capped_before_any_class_is_built(monkeypatch):
         next(connected_classes(CORPUS_CAP + 1))
 
 
+def _order(text):
+    """|Aut| of a family member, after checking each generator it comes with."""
+    g = gen(parse_family_spec(text))
+    _, generators, order = canonical_form(g)
+    for p in generators:
+        assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges]) == g
+    return order
+
+
 def test_automorphisms_of_small_families():
-    assert canonical_form(gen_path(1)) == (0, [(0,)])
-    assert sorted(canonical_form(gen_path(4))[1]) == [(0, 1, 2, 3), (3, 2, 1, 0)]
-    assert len(canonical_form(gen_wheel(6))[1]) == 12  # dihedral group of the rim
-    assert len(canonical_form(gen_star(3))[1]) == 6
-    assert len(canonical_form(gen(FamilySpec("complete", (6,))))[1]) == 720
+    assert canonical_form(gen_path(1)) == (0, [], 1)
+    assert canonical_form(gen_path(4))[1:] == ([(3, 2, 1, 0)], 2)
+    assert _order("wheel:6") == 12  # dihedral group of the rim
+    assert _order("star:3") == 6
+    assert _order("complete:6") == 720
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [("complete:8", 40320), ("wheel:27", 54), ("join:cycle:15+cycle:15", 1800)],
+)
+def test_automorphism_group_orders_of_larger_families(text, order):
+    # a search that visits one leaf per automorphism walks 40 320 leaves on
+    # K8; pruned by its generators each search here refines under 20 nodes
+    assert _order(text) == order
+
+
+def _closure(generators, n):
+    """Every product of the generators, the identity included."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        frontier = [
+            q
+            for q in {tuple(p[v] for v in r) for r in frontier for p in generators}
+            if q not in group
+        ]
+        group.update(frontier)
+    return group
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,12 +282,12 @@ def test_canonical_form_is_label_invariant(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    code, automorphisms = canonical_form(g)
+    code, generators, order = canonical_form(g)
     assert canonical_form(relabeled)[0] == code
-    assert len(set(automorphisms)) == len(automorphisms)
-    for p in automorphisms:
+    for p in generators:
         assert sorted(p) == list(range(g.n))
         assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges]) == g
+    assert len(_closure(generators, g.n)) == order
 
 
 def _to_networkx(nx, g):
